@@ -279,22 +279,89 @@ func (c *Coordinator) History() []AdvanceReport {
 	return out
 }
 
+// eachPart runs f once for every partition and returns when all calls
+// have: concurrently, one goroutine per partition, because a partition's
+// sweep or recovery holds only that partition's advancement lock and is
+// mostly timer and network waits; directly on the caller's goroutine
+// when there is a single partition.
+func (c *Coordinator) eachPart(f func(part int)) {
+	if c.nparts == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for part := 0; part < c.nparts; part++ {
+		wg.Add(1)
+		go func(part int) {
+			defer wg.Done()
+			f(part)
+		}(part)
+	}
+	wg.Wait()
+}
+
+// sweepPacer orders the concurrent sweeps of one RunAdvancement call
+// where they load the nodes, because user transactions feel that load.
+// A node answers the resync probe and the garbage-collection notice by
+// scanning its whole store on its delivery goroutine, and a partition's
+// update-version switch makes every replica of its keys copy the record
+// at the next update, hot keys within the millisecond. So these are
+// steps taken one at a time across the partitions, and a partition holds
+// its step from the switch until the outgoing version has drained
+// (Phases 1 and 2), which lets its copies land before the next
+// partition's begin. The read-version switch and the Phase 4 polls of
+// one partition overlap the steps of the others.
+//
+// Measured on the repl-skew benchmark (P = 4, 2 vCPUs) as Advance() p50
+// and the share of updates over 3 ms among those sent in the 100 ms
+// after an Advance() starts (9 % when no sweep runs): one sweep after
+// another 82 ms, 12 %; unpaced 23 ms, 17 %; probe, switch and GC as
+// steps but the drain outside them 34 ms, 15 %; this pacer 49 ms, 13 %.
+// The benchmark's update_p90_ms is a median over ten one-second windows
+// of which Go's GC cycles already spoil three or four, so it tolerates
+// little extra slow traffic: with the 34 ms pacer one run in five came
+// out at 4-7 ms instead of 3.2, with this one and with the serial loop
+// one in fifteen (ROADMAP.md, 2e).
+//
+// The first step to fail fails every later step with the same error, so
+// silent nodes cost the call one AckTimeout, not one per partition. A
+// sweep driven on its own (RunAdvancementPart) brings its own pacer and
+// never waits.
+type sweepPacer struct {
+	mu  sync.Mutex
+	err error
+}
+
+func (p *sweepPacer) step(f func() error) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err == nil {
+		p.err = f()
+	}
+	return p.err
+}
+
 // RunAdvancement executes one full four-phase advancement cycle
-// (Section 4.3) on every partition, in partition order, and blocks
-// until garbage collection has been acknowledged everywhere. With one
-// partition this is exactly the unpartitioned protocol. User
-// transactions are never blocked by it: every interaction with nodes
-// is an asynchronous message. The returned report carries partition
-// 0's installed versions, summed phase durations and sweep counts, and
-// the first error that interrupted a partition's cycle (remaining
-// partitions are skipped — a dead or deposed coordinator stays dead).
+// (Section 4.3) on every partition — all partitions' sweeps run
+// concurrently, ordered by a sweepPacer where they load the nodes — and
+// blocks until garbage collection has been acknowledged everywhere.
+// With one partition this is exactly the unpartitioned protocol. User
+// transactions are never blocked by it: every interaction with nodes is
+// an asynchronous message. The returned report carries partition 0's
+// installed versions; phase durations, Total and sweep counts are sums
+// over the partitions (so with several partitions they exceed the
+// call's wall time), MaxCounterLag is the largest any partition saw,
+// Interrupted is set if any partition's cycle was interrupted and Err is
+// the first such error in partition order. A dead, deposed or closed
+// coordinator stays that way: every partition's sweep unwinds through
+// abortErr, and a partition that had not yet switched its update version
+// when another's step failed is left untouched.
 func (c *Coordinator) RunAdvancement() AdvanceReport {
-	agg := c.RunAdvancementPart(0)
-	for part := 1; part < c.nparts; part++ {
-		if agg.Interrupted {
-			break
-		}
-		rep := c.RunAdvancementPart(part)
+	reps := make([]AdvanceReport, c.nparts)
+	pace := &sweepPacer{}
+	c.eachPart(func(part int) { reps[part] = c.runSweep(part, pace) })
+	agg := reps[0]
+	for _, rep := range reps[1:] {
 		agg.Phase1 += rep.Phase1
 		agg.Phase2 += rep.Phase2
 		agg.Phase3 += rep.Phase3
@@ -305,7 +372,7 @@ func (c *Coordinator) RunAdvancement() AdvanceReport {
 		if rep.MaxCounterLag > agg.MaxCounterLag {
 			agg.MaxCounterLag = rep.MaxCounterLag
 		}
-		agg.Interrupted = rep.Interrupted
+		agg.Interrupted = agg.Interrupted || rep.Interrupted
 		if agg.Err == nil {
 			agg.Err = rep.Err
 		}
@@ -318,6 +385,14 @@ func (c *Coordinator) RunAdvancement() AdvanceReport {
 // advancement mutexes and therefore run concurrently; each one drains
 // and garbage-collects only its own partition's versions and counters.
 func (c *Coordinator) RunAdvancementPart(part int) AdvanceReport {
+	return c.runSweep(part, &sweepPacer{})
+}
+
+// runSweep is one partition's cycle, ordered against the other sweeps
+// of the same RunAdvancement call by pace (see sweepPacer). Phase
+// durations run from when the sweep got its turn; Total includes the
+// waiting.
+func (c *Coordinator) runSweep(part int, pace *sweepPacer) AdvanceReport {
 	cp := c.parts[part]
 	cp.advMu.Lock()
 	defer cp.advMu.Unlock()
@@ -325,7 +400,7 @@ func (c *Coordinator) RunAdvancementPart(part int) AdvanceReport {
 	// Bring any restarted-from-checkpoint node back to the installed
 	// versions before opening a new cycle (no-op unless hardening is on
 	// and a node actually lags).
-	if err := c.resyncLagging(part); err != nil {
+	if err := pace.step(func() error { return c.resyncLagging(part) }); err != nil {
 		return AdvanceReport{NewVU: cp.vu + 1, NewVR: cp.vr + 1, Interrupted: true, Err: err}
 	}
 
@@ -342,32 +417,37 @@ func (c *Coordinator) RunAdvancementPart(part int) AdvanceReport {
 		return rep
 	}
 
-	// Phase 1: switch to the new update version.
-	c.enterPhase(part, 1)
-	c.broadcast(StartAdvancementMsg{NewVU: vunew, Term: c.term, Part: part})
-	if err := c.waitAcks(c.ackVU, ackKey{part, vunew}, StartAdvancementMsg{NewVU: vunew, Term: c.term, Part: part}); err != nil {
-		return interrupted(err)
-	}
-	if err := c.phaseDone(part, 1); err != nil {
-		return interrupted(err)
-	}
-	rep.Phase1 = time.Since(start)
+	var t1, t2 time.Time
+	if err := pace.step(func() error {
+		// Phase 1: switch to the new update version.
+		t1 = time.Now()
+		c.enterPhase(part, 1)
+		c.broadcast(StartAdvancementMsg{NewVU: vunew, Term: c.term, Part: part})
+		if err := c.waitAcks(c.ackVU, ackKey{part, vunew}, StartAdvancementMsg{NewVU: vunew, Term: c.term, Part: part}); err != nil {
+			return err
+		}
+		if err := c.phaseDone(part, 1); err != nil {
+			return err
+		}
+		rep.Phase1 = time.Since(t1)
 
-	// Phase 2: updates phase-out — wait for inter-node consistency of
-	// vuold by asynchronous counter reads.
-	t2 := time.Now()
-	c.enterPhase(part, 2)
-	var lag2 int64
-	var err error
-	rep.SweepsPhase2, lag2, err = c.pollQuiescence(part, vuold)
-	if err != nil {
+		// Phase 2: updates phase-out — wait for inter-node consistency
+		// of vuold by asynchronous counter reads.
+		t2 = time.Now()
+		c.enterPhase(part, 2)
+		var err error
+		rep.SweepsPhase2, rep.MaxCounterLag, err = c.pollQuiescence(part, vuold)
+		if err != nil {
+			return err
+		}
+		if err := c.phaseDone(part, 2); err != nil {
+			return err
+		}
+		rep.Phase2 = time.Since(t2)
+		return nil
+	}); err != nil {
 		return interrupted(err)
 	}
-	if err := c.phaseDone(part, 2); err != nil {
-		return interrupted(err)
-	}
-	rep.MaxCounterLag = lag2
-	rep.Phase2 = time.Since(t2)
 
 	// Phase 3: switch to the new read version.
 	t3 := time.Now()
@@ -386,6 +466,7 @@ func (c *Coordinator) RunAdvancementPart(part int) AdvanceReport {
 	t4 := time.Now()
 	c.enterPhase(part, 4)
 	var lag4 int64
+	var err error
 	rep.SweepsPhase4, lag4, err = c.pollQuiescence(part, vrold)
 	if err != nil {
 		return interrupted(err)
@@ -396,8 +477,10 @@ func (c *Coordinator) RunAdvancementPart(part int) AdvanceReport {
 	if lag4 > rep.MaxCounterLag {
 		rep.MaxCounterLag = lag4
 	}
-	c.broadcast(GCMsg{Keep: vrnew, Term: c.term, Part: part})
-	if err := c.waitAcks(c.ackGC, ackKey{part, vrnew}, GCMsg{Keep: vrnew, Term: c.term, Part: part}); err != nil {
+	if err := pace.step(func() error {
+		c.broadcast(GCMsg{Keep: vrnew, Term: c.term, Part: part})
+		return c.waitAcks(c.ackGC, ackKey{part, vrnew}, GCMsg{Keep: vrnew, Term: c.term, Part: part})
+	}); err != nil {
 		return interrupted(err)
 	}
 	rep.Phase4 = time.Since(t4)
@@ -419,7 +502,7 @@ func (c *Coordinator) RunAdvancementPart(part int) AdvanceReport {
 	c.reg.DropPartLagsBelow(part, int64(vrnew))
 	c.reg.RecordEvent(obs.Event{Kind: obs.EvVersionSwitch, Version: int64(vunew),
 		Detail: fmt.Sprintf("part=%d vr=%d vu=%d sweeps=%d/%d", part, vrnew, vunew, rep.SweepsPhase2, rep.SweepsPhase4)})
-	c.traceSweep(rep, start, t2, t3, t4)
+	c.traceSweep(rep, start, t1, t2, t3, t4)
 
 	c.histMu.Lock()
 	c.history = append(c.history, rep)
@@ -434,7 +517,7 @@ func (c *Coordinator) RunAdvancementPart(part int) AdvanceReport {
 // set bit 63, disjoint from both transaction trace ids (bits 62 and 63
 // clear) and minted subtransaction span ids (bit 62), so the three id
 // spaces can share one ring without collision.
-func (c *Coordinator) traceSweep(rep AdvanceReport, start, t2, t3, t4 time.Time) {
+func (c *Coordinator) traceSweep(rep AdvanceReport, start, t1, t2, t3, t4 time.Time) {
 	if !c.reg.TraceEnabled() {
 		return
 	}
@@ -452,7 +535,7 @@ func (c *Coordinator) traceSweep(rep AdvanceReport, start, t2, t3, t4 time.Time)
 		dur   time.Duration
 		attr  string
 	}{
-		{"phase1_switch_vu", start, rep.Phase1, fmt.Sprintf("vu=%d", rep.NewVU)},
+		{"phase1_switch_vu", t1, rep.Phase1, fmt.Sprintf("vu=%d", rep.NewVU)},
 		{"phase2_quiesce_updates", t2, rep.Phase2, fmt.Sprintf("sweeps=%d", rep.SweepsPhase2)},
 		{"phase3_switch_vr", t3, rep.Phase3, fmt.Sprintf("vr=%d", rep.NewVR)},
 		{"phase4_quiesce_queries_gc", t4, end.Sub(t4), fmt.Sprintf("sweeps=%d keep=%d", rep.SweepsPhase4, rep.NewVR)},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/storage"
@@ -56,8 +57,36 @@ func (c *Cluster) ExportSnapshot() (*ClusterSnapshot, error) {
 				i, vr, vu, vrRef, vuRef)
 		}
 	}
-	// Counter balance check: for every active version anywhere in the
-	// cluster, everything sent from p to q must have completed at q.
+	// A handle completes just before its root's completion counter is
+	// incremented (the increment is deferred to the execution's tail),
+	// so a caller that waited on every handle can still catch R one
+	// ahead of C for a moment: let the tails land before refusing.
+	deadline := time.Now().Add(snapshotSettle)
+	for {
+		err := c.counterImbalance()
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			return nil, err
+		}
+		time.Sleep(time.Millisecond)
+	}
+	snap.VR, snap.VU = vrRef, vuRef
+	for _, nd := range c.nodes {
+		snap.Stores = append(snap.Stores, nd.store.Export())
+	}
+	return snap, nil
+}
+
+// snapshotSettle bounds how long ExportSnapshot waits for the request
+// and completion counters to balance before it refuses.
+const snapshotSettle = time.Second
+
+// counterImbalance checks, for every active version anywhere in the
+// cluster, that everything sent from p to q has completed at q; it
+// describes the first pair that has not, or returns nil.
+func (c *Cluster) counterImbalance() error {
 	versions := make(map[model.Version]bool)
 	for _, nd := range c.nodes {
 		for _, v := range nd.Counters().Versions() {
@@ -70,17 +99,13 @@ func (c *Cluster) ExportSnapshot() (*ClusterSnapshot, error) {
 				r := c.nodes[p].Counters().R(v, model.NodeID(q))
 				cc := c.nodes[q].Counters().C(v, model.NodeID(p))
 				if r != cc {
-					return nil, fmt.Errorf("core: snapshot refused: version %d has R[%d][%d]=%d but C=%d (transactions in flight)",
+					return fmt.Errorf("core: snapshot refused: version %d has R[%d][%d]=%d but C=%d (transactions in flight)",
 						v, p, q, r, cc)
 				}
 			}
 		}
 	}
-	snap.VR, snap.VU = vrRef, vuRef
-	for _, nd := range c.nodes {
-		snap.Stores = append(snap.Stores, nd.store.Export())
-	}
-	return snap, nil
+	return nil
 }
 
 // RestoreSnapshot installs a snapshot into a freshly built (not yet

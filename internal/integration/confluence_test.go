@@ -14,7 +14,8 @@ import (
 // confluenceRun executes a fixed transaction set on a scripted cluster,
 // delivering every message in an order chosen by the seeded RNG, runs a
 // full advancement (also pumped in random order), and returns the final
-// rendered state of every node's store.
+// logical state of every node's store: what a read of each item at the
+// newest version sees.
 //
 // This is the most direct test of the paper's premise: because update
 // subtransactions commute and the protocol tolerates arbitrary message
@@ -80,67 +81,80 @@ func confluenceRun(t *testing.T, seed int64) string {
 	}})
 
 	// Random-order pump: deliver everything (including advancement
-	// traffic) in RNG order until the advancement completes and no
-	// messages remain.
-	advDone := c.AdvanceAsync()
-	deadline := time.Now().Add(20 * time.Second)
-	advFinished := false
-	for {
-		n := script.PendingCount()
-		if n > 0 {
-			script.DeliverIndex(rng.Intn(n))
-			continue
-		}
-		if !advFinished {
-			select {
-			case rep := <-advDone:
-				advFinished = true
-				if rep.Interrupted {
-					t.Fatal("advancement interrupted")
-				}
+	// traffic) in RNG order until the advancement completes, settled()
+	// holds and no messages remain.
+	advance := func(settled func() bool) {
+		advDone := c.AdvanceAsync()
+		deadline := time.Now().Add(20 * time.Second)
+		advFinished := false
+		for {
+			if n := script.PendingCount(); n > 0 {
+				script.DeliverIndex(rng.Intn(n))
 				continue
-			default:
-				time.Sleep(50 * time.Microsecond) // coordinator between sweeps
 			}
-		} else {
-			allDone := true
-			for _, h := range handles {
+			if !advFinished {
 				select {
-				case <-h.Done():
-				default:
-					allDone = false
+				case rep := <-advDone:
+					advFinished = true
+					if rep.Interrupted {
+						t.Fatal("advancement interrupted")
+					}
+					continue
+				default: // coordinator between sweeps
 				}
+			} else if settled() {
+				return
 			}
-			if allDone {
-				break
+			if time.Now().After(deadline) {
+				t.Fatalf("confluence run (seed %d) did not converge; %d pending", seed, script.PendingCount())
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("confluence run (seed %d) did not converge; %d pending", seed, script.PendingCount())
-		}
 	}
+	advance(func() bool {
+		for _, h := range handles {
+			select {
+			case <-h.Done():
+			default:
+				return false
+			}
+		}
+		return true
+	})
 	if vio := c.Violations(); vio != nil {
 		t.Fatalf("seed %d: violations %v", seed, vio)
 	}
 	if c.MaxLiveVersionsEver() > 3 {
 		t.Fatalf("seed %d: %d live versions", seed, c.MaxLiveVersionsEver())
 	}
+	// Compare logical state, not version layout: an update that raced
+	// the switch to the new update version legitimately sits one version
+	// above its siblings (v1={bal=5} v2={bal=6} against v1={bal=6}). One
+	// more advancement publishes every such straggler, and a read at the
+	// final update version then sees each item's whole history.
+	advance(func() bool { return true })
+	_, vu := c.Coordinator().Versions()
 	state := ""
 	for i := 0; i < 3; i++ {
-		state += fmt.Sprintf("node%d:\n%s", i, c.Node(i).Store().Dump())
+		store := c.Node(i).Store()
+		state += fmt.Sprintf("node%d:\n", i)
+		for _, k := range store.Keys() {
+			rec, _, _ := store.ReadMax(k, vu)
+			state += fmt.Sprintf("%s: %v\n", k, rec)
+		}
 	}
 	return state
 }
 
 // TestConfluenceAcrossDeliveryOrders runs the same transaction set
-// under many random delivery orders and requires byte-identical final
-// states: the commutativity the protocol exploits, verified end to end.
+// under many random delivery orders and requires identical final
+// logical states: the commutativity the protocol exploits, verified end
+// to end.
 func TestConfluenceAcrossDeliveryOrders(t *testing.T) {
 	reference := confluenceRun(t, 1)
 	// The expected final state: 6 × the fan-out increments, the
-	// compensated tree invisible, everything at read version 1.
-	for _, want := range []string{"A: v1={bal=6", "B: v1={bal=12", "D: v1={bal=18", "F: v1={bal=24", "E: v1={bal=0"} {
+	// compensated tree invisible.
+	for _, want := range []string{"A: {bal=6", "B: {bal=12", "D: {bal=18", "F: {bal=24", "E: {bal=0"} {
 		if !containsStr(reference, want) {
 			t.Fatalf("reference state missing %q:\n%s", want, reference)
 		}

@@ -179,3 +179,26 @@ func BenchmarkRetransmitScanIdleFull(b *testing.B) {
 		s.scanOverdue(now)
 	}
 }
+
+// TestCloseWhileWindowTimersArm is the regression for Close panicking
+// with "WaitGroup is reused before previous Wait has returned": a batching
+// session closed with traffic still in flight keeps receiving frames,
+// and each used to arm a flush or delayed-ack timer (timers.Add) while
+// Close sat in timers.Wait. Run under -race, which also reports the
+// Add/Wait race directly.
+func TestCloseWhileWindowTimersArm(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		inner := transport.NewNet(transport.Config{Nodes: 2, Seed: int64(round)})
+		s := Wrap(inner, 2, Config{FlushInterval: 20 * time.Microsecond})
+		// Node 1 answers every frame, so closing also races new sends.
+		s.Register(0, func(transport.Message) {})
+		s.Register(1, func(m transport.Message) {
+			s.Send(transport.Message{From: 1, To: 0, Payload: m.Payload})
+		})
+		s.Start()
+		for i := 0; i < 200; i++ {
+			s.Send(transport.Message{From: 0, To: 1, Payload: i})
+		}
+		s.Close()
+	}
+}

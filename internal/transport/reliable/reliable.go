@@ -249,6 +249,13 @@ type Session struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	timers  sync.WaitGroup // in-flight flush/ack window timers
+	// closing stops new window timers from being armed, so Close can
+	// wait on timers without an Add racing its Wait. Both arming sites
+	// read it under the lock that guards their armed flag (a link's mu,
+	// a node's recvMu); Close sets it before a final sweep that takes
+	// every one of those locks, so an arm either happened before the
+	// sweep (and is waited for) or sees the flag.
+	closing atomic.Bool
 }
 
 // Wrap decorates inner (serving node ids 0..nodes-1) with the session
@@ -372,7 +379,9 @@ func (s *Session) Close() {
 		// Final sweep: emit every staged outbox (and piggybacked acks)
 		// before the inner network's gate drops, then wait out armed
 		// window timers — they re-run flushLink/flushAck, find nothing,
-		// and exit, so no timer can touch a closed inner network.
+		// and exit, so no timer can touch a closed inner network. Frames
+		// and acks that arrive from here on leave at once (see closing).
+		s.closing.Store(true)
 		for from := 0; from < s.n; from++ {
 			for to := 0; to < s.n; to++ {
 				s.flushLink(model.NodeID(from), model.NodeID(to))
@@ -423,15 +432,15 @@ func (s *Session) Send(m transport.Message) {
 }
 
 // stage parks an enveloped frame on its link's outbox; the first frame
-// arms the flush window, a full outbox flushes immediately. The frame
-// is already tracked in unacked (and journaled), so a crash or drop
-// between staging and flush is repaired by retransmission like any
-// other loss.
+// arms the flush window, a full outbox (or any frame staged while the
+// session is closing) flushes immediately. The frame is already tracked
+// in unacked (and journaled), so a crash or drop between staging and
+// flush is repaired by retransmission like any other loss.
 func (s *Session) stage(env transport.Message) {
 	l := s.send[env.From][env.To]
 	l.mu.Lock()
 	l.outbox = append(l.outbox, env)
-	if len(l.outbox) >= s.cfg.MaxBatch {
+	if len(l.outbox) >= s.cfg.MaxBatch || s.closing.Load() {
 		msgs := l.outbox
 		l.outbox = nil
 		l.mu.Unlock()
@@ -674,6 +683,11 @@ func (s *Session) onData(id, from model.NodeID, d DataMsg, tc obs.TraceContext) 
 	// safe: NoteRecv above already made the watermark durable, and an
 	// unacked frame is merely re-offered, never lost.
 	s.recvMu[id].Lock()
+	if s.closing.Load() {
+		s.recvMu[id].Unlock()
+		s.inner.Send(transport.Message{From: id, To: from, Payload: AckMsg{CumAck: ack}})
+		return
+	}
 	rl.ackOwed = true
 	if !rl.ackArmed {
 		rl.ackArmed = true
@@ -695,7 +709,11 @@ func (s *Session) onAck(id, from model.NodeID, cum uint64) {
 		i++
 	}
 	if i > 0 {
-		l.unacked = append(l.unacked[:0], l.unacked[i:]...)
+		// Zero the vacated tail: the slice keeps its capacity, and a
+		// stale pendingFrame there would pin an acknowledged payload.
+		n := copy(l.unacked, l.unacked[i:])
+		clear(l.unacked[n:])
+		l.unacked = l.unacked[:n]
 		s.unackedTotal.Add(-int64(i))
 	}
 	l.mu.Unlock()
