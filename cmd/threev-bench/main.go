@@ -4,123 +4,35 @@
 //
 // Usage:
 //
-//	threev-bench [-txns N] [-only E5,E9] [-json FILE] [-out BENCH_0.json]
-//	             [-transport mem|tcp]
-//	             [-pprof :6060] [-cpuprofile FILE] [-memprofile FILE]
+//	threev-bench [-txns N] [-only E5,E9] [-json FILE]
 //
 // -txns scales every experiment's transaction count; -only restricts
-// the run to a comma-separated list of experiment ids.
-//
-// -transport selects the calibration run's network: "mem" (default)
-// is the in-memory transport; "tcp" routes every protocol message —
-// including self-sends — through the binary wire codec and a real
-// loopback TCP socket (tcpnet in ForceTCP mode), measuring the full
-// serialization + kernel networking overhead. The mem-vs-tcp delta is
-// the "Wire overhead" section of EXPERIMENTS.md. -json writes a
+// the run to a comma-separated list of experiment ids. -json writes a
 // machine-readable report ("-" = stdout) with each experiment's
-// pass/fail plus a calibration run of a loaded 3V cluster capturing
-// throughput and the observability snapshot (latency quantiles,
-// advancement phase times).
+// pass/fail.
 //
-// -out FILE writes a small benchmark snapshot (headline throughput and
-// latency quantiles of the calibration run) to FILE — the tracked
-// baseline format committed as BENCH_<n>.json at the repo root so perf
-// regressions show up in review. With -out and no -only, the
-// experiment suite is skipped and only the calibration run executes.
-//
-// -wal MODE replaces the calibration run with the durability topology:
-// three single-node clusters in one process connected over loopback
-// TCP (the cmd/threev-node wiring), each journaling to a write-ahead
-// log in a temporary directory. MODE is the fsync policy — always,
-// interval, or never — or "none" for the identical topology without a
-// WAL, the baseline the other modes are compared against. The
-// none/never/interval/always sweep is the "WAL overhead" section of
-// EXPERIMENTS.md.
-//
-// -failover enables coordinator failover on the calibration run: every
-// node hosts a standby FailoverManager, the active coordinator
-// heartbeats its term and versions each lease interval, and every
-// protocol message carries a fencing term. No takeover happens — the
-// coordinator stays healthy — so the measurement is the pure cost of
-// the failover machinery on the hot path. The on/off delta is the
-// "Failover cost" section of EXPERIMENTS.md (BENCH_3.json).
-//
-// -batch N turns on the batched hot path for the calibration run and
-// groups N client submissions per launch: the mem transport coalesces
-// each link's sends into one flush envelope (tcp mode writes batched
-// wire frames instead), node workers drain admission chunks under one
-// WAL barrier, the coordinator's quiescence sweeps use one batched
-// counter request/reply per node, and the harness submits N-txn groups
-// through Cluster.SubmitBatch. -per-batch-latency charges the mem
-// transport's simulated latency + jitter once per flushed envelope
-// instead of once per message — the jitter ablation of the
-// EXPERIMENTS.md batching section. -assert-batched fails the run
-// unless the observed mean batch size exceeds 1, proving the batched
-// path actually carried the load (the CI smoke uses it).
-//
-// -partitions P runs the calibration with the keyspace split into P
-// independently-advancing partitions, and -skew S biases the workload's
-// group selection (P(g) ∝ (g+1)^-S) so a few partitions run hot. Every
-// per-partition sweep samples the advancement histogram, making the
-// advance quantiles per-partition sweep latencies; the run fails unless
-// the per-partition convergence/balance audit passes. The P=1-vs-P=4
-// delta under skew is the "Partitioned advancement" section of
-// EXPERIMENTS.md (BENCH_5.json).
-//
-// -replicate enables per-partition replica groups on the calibration
-// run: every partition primary streams its applied commuting updates
-// to the other owners over the reliable session layer (so -reliable is
-// required), and backups apply them idempotently. The replicated run
-// against its -reliable-only twin is the "Replication overhead"
-// ablation of EXPERIMENTS.md (BENCH_6.json).
-//
-// -gogc N sets the garbage collector's target percentage for the
-// process (runtime/debug.SetGCPercent). On a single-core host the
-// default target of 100 triggers a concurrent mark for every doubling
-// of the live store, and at batched throughputs roughly half of every
-// run executes inside a mark phase — the dominant update-p99
-// contributor. Snapshots taken with -gogc record the value in the
-// JSON so baselines stay honest about their GC configuration.
-//
-// -pprof/-cpuprofile/-memprofile enable the standard Go profilers
-// (package profiling) for hunting hot-path regressions.
+// What the implementation costs is measured by the repo's benchmark,
+// not here: bash bench/run.sh -workload W (bench/README.md).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"net"
 	"os"
-	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/model"
-	"repro/internal/obs"
-	"repro/internal/profiling"
-	"repro/internal/transport"
-	"repro/internal/transport/reliable"
-	"repro/internal/transport/tcpnet"
-	"repro/internal/verify"
-	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 // report is the -json output shape.
 type report struct {
-	Txns        int             `json:"txns"`
-	Experiments []expResult     `json:"experiments"`
-	Failures    int             `json:"failures"`
-	ElapsedMS   int64           `json:"elapsed_ms"`
-	Calibration *calibrationRun `json:"calibration,omitempty"`
+	Txns        int         `json:"txns"`
+	Experiments []expResult `json:"experiments"`
+	Failures    int         `json:"failures"`
+	ElapsedMS   int64       `json:"elapsed_ms"`
 }
 
 type expResult struct {
@@ -129,153 +41,11 @@ type expResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// benchSnapshot is the -out format: the headline end-to-end numbers of
-// one calibration run, small and stable enough to commit as the
-// tracked BENCH_<n>.json baseline. Latencies are milliseconds. The
-// stage fields appear only when the run traced (-trace-sample > 0).
-type benchSnapshot struct {
-	Txns      int  `json:"txns"`
-	Completed int  `json:"completed"`
-	Failover  bool `json:"failover,omitempty"`
-	// Reliable and Replicate record a replica-group run: the reliable
-	// session layer (which the replication stream rides) and the
-	// per-partition primary→backup streaming itself.
-	Reliable  bool `json:"reliable,omitempty"`
-	Replicate bool `json:"replicate,omitempty"`
-	// Batch is the group-submit size of a batched-mode run, and
-	// MeanBatchSize the observed mean messages per net flush envelope.
-	Batch         int     `json:"batch,omitempty"`
-	MeanBatchSize float64 `json:"mean_batch_size,omitempty"`
-	// Partitions and Skew record a partitioned-calibration run: P
-	// independently-advancing partitions under a (g+1)^-skew key
-	// distribution. In such runs every per-partition sweep samples the
-	// advance histogram, so AdvanceP99Ms is per-partition sweep latency.
-	Partitions int     `json:"partitions,omitempty"`
-	Skew       float64 `json:"skew,omitempty"`
-	// GOGC records a non-default GC target percentage the run was taken
-	// with (the -gogc flag); absent means the runtime default. On a
-	// single-core host the default target keeps the batched hot path
-	// inside a concurrent mark phase for ~half of every run, which is
-	// the dominant p99 contributor (see EXPERIMENTS.md, Batching).
-	GOGC          int     `json:"gogc,omitempty"`
-	ThroughputTPS float64 `json:"throughput_tps"`
-	ReadP50Ms     float64 `json:"read_p50_ms"`
-	ReadP99Ms     float64 `json:"read_p99_ms"`
-	UpdateP50Ms   float64 `json:"update_p50_ms"`
-	UpdateP99Ms   float64 `json:"update_p99_ms"`
-	AdvanceP99Ms  float64 `json:"advance_p99_ms"`
-	Messages      int64   `json:"messages"`
-	// Per-stage latency attribution of sampled root transactions
-	// (wire + queue + service + ack partitions the end-to-end time).
-	StageP50Ms map[string]float64 `json:"stage_p50_ms,omitempty"`
-	StageP99Ms map[string]float64 `json:"stage_p99_ms,omitempty"`
-}
-
-type calibrationRun struct {
-	Txns          int             `json:"txns"`
-	Completed     int             `json:"completed"`
-	ThroughputTPS float64         `json:"throughput_tps"`
-	TransportKind string          `json:"transport_kind,omitempty"`
-	DropRate      float64         `json:"drop_rate,omitempty"`
-	DupRate       float64         `json:"dup_rate,omitempty"`
-	Reliable      bool            `json:"reliable,omitempty"`
-	Failover      bool            `json:"failover,omitempty"`
-	Replicate     bool            `json:"replicate,omitempty"`
-	Batch         int             `json:"batch,omitempty"`
-	Partitions    int             `json:"partitions,omitempty"`
-	Skew          float64         `json:"skew,omitempty"`
-	WALMode       string          `json:"wal_mode,omitempty"`
-	WALRecords    uint64          `json:"wal_records,omitempty"`
-	WALFsyncs     int64           `json:"wal_fsyncs,omitempty"`
-	Transport     transport.Stats `json:"transport"`
-	Obs           obs.Snapshot    `json:"obs"`
-}
-
 func main() {
 	txns := flag.Int("txns", experiments.DefaultScale.Txns, "base transaction count per experiment run")
 	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E3,E9); empty = all")
-	jsonOut := flag.String("json", "", "write a JSON report to this file (\"-\" = stdout); adds a calibration run")
-	drop := flag.Float64("drop", 0, "calibration run: per-message drop probability (requires -reliable when > 0)")
-	dup := flag.Float64("dupmsg", 0, "calibration run: per-message duplication probability")
-	reliable := flag.Bool("reliable", false, "calibration run: interpose the reliable-delivery session layer")
-	transportKind := flag.String("transport", "mem", "calibration run network: mem (in-memory) or tcp (wire codec + loopback sockets)")
-	failover := flag.Bool("failover", false, "calibration run: enable coordinator failover (per-node standbys, lease heartbeats, term fencing) to measure its steady-state overhead")
-	walMode := flag.String("wal", "", "durability calibration: none | never | interval | always (three durable single-node clusters over loopback TCP)")
-	out := flag.String("out", "", "write a benchmark snapshot (calibration headline numbers) to this file; skips the experiment suite unless -only is set")
-	batch := flag.Int("batch", 0, "calibration run: enable the batched hot path and group N submissions per launch (0 = off)")
-	partitions := flag.Int("partitions", 1, "calibration run: split the keyspace into P independently-advancing partitions")
-	replicateOn := flag.Bool("replicate", false, "calibration run: enable per-partition replica groups (requires -reliable; every primary streams applied updates to the other owners)")
-	skew := flag.Float64("skew", 0, "calibration run: workload group-selection skew (P(g) ∝ (g+1)^-skew; 0 = uniform)")
-	perBatchLatency := flag.Bool("per-batch-latency", false, "with -batch: charge the mem transport's simulated latency + jitter once per flush envelope instead of once per message (jitter ablation)")
-	assertBatched := flag.Bool("assert-batched", false, "with -batch: fail unless the run's observed mean net batch size exceeds 1")
-	gogc := flag.Int("gogc", 0, "set the GC target percentage (runtime/debug.SetGCPercent) for the whole process; 0 leaves the runtime default / GOGC env; recorded in -out snapshots")
-	traceSample := flag.Int("trace-sample", 0, "calibration run: head-sample 1 in N transactions for causal tracing (prints the stage-attribution table; 0 = off)")
-	traceOut := flag.String("trace-out", "", "with -trace-sample: dump the calibration run's assembled traces as JSON to this file")
-	stageCheck := flag.Bool("stage-check", false, "with -trace-sample: fail unless the stage means sum to within 5%% of the end-to-end mean")
-	var prof profiling.Flags
-	prof.Register(flag.CommandLine)
+	jsonOut := flag.String("json", "", "write a JSON report of each experiment's pass/fail to this file (\"-\" = stdout)")
 	flag.Parse()
-	if *drop > 0 && !*reliable {
-		fmt.Fprintln(os.Stderr, "-drop > 0 requires -reliable (a lost message would wedge the protocol)")
-		os.Exit(1)
-	}
-	if *transportKind != "mem" && *transportKind != "tcp" {
-		fmt.Fprintln(os.Stderr, "-transport must be mem or tcp")
-		os.Exit(1)
-	}
-	if *transportKind == "tcp" && (*drop > 0 || *dup > 0) {
-		fmt.Fprintln(os.Stderr, "-drop/-dupmsg are features of the in-memory fault injector; use -transport mem")
-		os.Exit(1)
-	}
-	if *walMode != "" && (*drop > 0 || *dup > 0 || *reliable || *transportKind != "mem") {
-		fmt.Fprintln(os.Stderr, "-wal fixes its own topology (loopback TCP + reliable sessions); drop -drop/-dupmsg/-reliable/-transport")
-		os.Exit(1)
-	}
-	if *failover && *walMode != "" {
-		fmt.Fprintln(os.Stderr, "-failover applies to the mem/tcp calibration run; drop -wal")
-		os.Exit(1)
-	}
-	if *batch > 0 && *walMode != "" {
-		fmt.Fprintln(os.Stderr, "-batch applies to the mem/tcp calibration run; drop -wal")
-		os.Exit(1)
-	}
-	if *perBatchLatency && (*batch <= 0 || *transportKind != "mem") {
-		fmt.Fprintln(os.Stderr, "-per-batch-latency is the in-memory jitter ablation; it requires -batch > 0 and -transport mem")
-		os.Exit(1)
-	}
-	if *assertBatched && *batch <= 0 {
-		fmt.Fprintln(os.Stderr, "-assert-batched requires -batch > 0")
-		os.Exit(1)
-	}
-	if (*traceOut != "" || *stageCheck) && *traceSample <= 0 {
-		fmt.Fprintln(os.Stderr, "-trace-out/-stage-check require -trace-sample > 0")
-		os.Exit(1)
-	}
-	if *traceSample > 0 && *walMode != "" {
-		fmt.Fprintln(os.Stderr, "-trace-sample applies to the mem/tcp calibration run; drop -wal")
-		os.Exit(1)
-	}
-	if (*partitions > 1 || *skew != 0) && *walMode != "" {
-		fmt.Fprintln(os.Stderr, "-partitions/-skew apply to the mem/tcp calibration run; drop -wal")
-		os.Exit(1)
-	}
-	if *replicateOn && !*reliable {
-		fmt.Fprintln(os.Stderr, "-replicate requires -reliable (the replication stream rides the session layer for dedup and FIFO)")
-		os.Exit(1)
-	}
-	if *replicateOn && *walMode != "" {
-		fmt.Fprintln(os.Stderr, "-replicate applies to the mem/tcp calibration run; drop -wal")
-		os.Exit(1)
-	}
-	if *gogc > 0 {
-		debug.SetGCPercent(*gogc)
-	}
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopProf()
 
 	sc := experiments.Scale{Txns: *txns}
 	selected := map[string]bool{}
@@ -284,10 +54,7 @@ func main() {
 			selected[id] = true
 		}
 	}
-	// -out or -wal without -only means "just take the measurement":
-	// the experiment suite is skipped and only calibration runs.
-	runSuite := (*out == "" && *walMode == "") || len(selected) > 0
-	want := func(id string) bool { return runSuite && (len(selected) == 0 || selected[id]) }
+	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
 	failures := 0
 	var results []expResult
@@ -345,73 +112,7 @@ func main() {
 		results = append(results, r)
 	}
 
-	if runSuite {
-		fmt.Printf("suite completed in %v; %d failures\n", time.Since(start).Round(time.Millisecond), failures)
-	}
-
-	var cal *calibrationRun
-	var traces []obs.Trace
-	if *walMode != "" {
-		var calErr error
-		cal, calErr = calibrateWAL(*txns, *walMode)
-		if calErr != nil {
-			fmt.Fprintln(os.Stderr, "wal calibration error:", calErr)
-			failures++
-		} else {
-			fmt.Printf("wal calibration (%s): %.1f txn/s over %d txns, %d wal records, %d fsyncs\n",
-				cal.WALMode, cal.ThroughputTPS, cal.Txns, cal.WALRecords, cal.WALFsyncs)
-		}
-	} else if *jsonOut != "" || *out != "" || *traceSample > 0 {
-		var calErr error
-		cal, traces, calErr = calibrate(*txns, *drop, *dup, *reliable, *transportKind, *traceSample, *failover, *batch, *perBatchLatency, *partitions, *skew, *replicateOn)
-		if calErr != nil {
-			fmt.Fprintln(os.Stderr, "calibration error:", calErr)
-			failures++
-		}
-	}
-
-	if cal != nil && *walMode == "" {
-		if adv := cal.Obs.AdvTotal; adv.Count > 0 {
-			fmt.Printf("advancement sweeps: %d, latency p50/p99 %.3f/%.3f ms\n",
-				adv.Count, float64(adv.P50())/1e6, float64(adv.P99())/1e6)
-		}
-	}
-
-	if cal != nil && *assertBatched {
-		mean := cal.Obs.Gauges[obs.GaugeNetBatchMeanSize]
-		if mean > 1 {
-			fmt.Printf("assert-batched OK: mean net batch size %.2f over %d flushes\n",
-				mean, int64(cal.Obs.Gauges[obs.GaugeNetFlushes]))
-		} else {
-			fmt.Fprintf(os.Stderr, "assert-batched FAILED: mean net batch size %.2f (want > 1) — the batched path did not carry the load\n", mean)
-			failures++
-		}
-	}
-
-	if cal != nil && *traceSample > 0 {
-		printStageTable(cal.Obs)
-		if *stageCheck && !stageSumsCheckOut(cal.Obs) {
-			failures++
-		}
-		if *traceOut != "" {
-			buf, terr := json.MarshalIndent(traces, "", "  ")
-			if terr != nil {
-				fmt.Fprintln(os.Stderr, "trace encode:", terr)
-				failures++
-			} else if terr := os.WriteFile(*traceOut, append(buf, '\n'), 0o644); terr != nil {
-				fmt.Fprintln(os.Stderr, "trace write:", terr)
-				failures++
-			} else {
-				complete := 0
-				for _, tr := range traces {
-					if tr.Complete {
-						complete++
-					}
-				}
-				fmt.Printf("traces: %d (%d complete) -> %s\n", len(traces), complete, *traceOut)
-			}
-		}
-	}
+	fmt.Printf("suite completed in %v; %d failures\n", time.Since(start).Round(time.Millisecond), failures)
 
 	if *jsonOut != "" {
 		rep := report{
@@ -419,7 +120,6 @@ func main() {
 			Experiments: results,
 			Failures:    failures,
 			ElapsedMS:   time.Since(start).Milliseconds(),
-			Calibration: cal,
 		}
 		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -436,467 +136,7 @@ func main() {
 		}
 	}
 
-	if *out != "" && cal != nil {
-		snap := benchSnapshot{
-			Txns:          cal.Txns,
-			Completed:     cal.Completed,
-			Failover:      cal.Failover,
-			Reliable:      cal.Reliable,
-			Replicate:     cal.Replicate,
-			Batch:         cal.Batch,
-			MeanBatchSize: roundMs(cal.Obs.Gauges[obs.GaugeNetBatchMeanSize]),
-			Partitions:    cal.Partitions,
-			Skew:          cal.Skew,
-			GOGC:          *gogc,
-			ThroughputTPS: roundMs(cal.ThroughputTPS),
-			ReadP50Ms:     roundMs(float64(cal.Obs.TxnRead.P50()) / 1e6),
-			ReadP99Ms:     roundMs(float64(cal.Obs.TxnRead.P99()) / 1e6),
-			UpdateP50Ms:   roundMs(float64(cal.Obs.TxnUpdate.P50()) / 1e6),
-			UpdateP99Ms:   roundMs(float64(cal.Obs.TxnUpdate.P99()) / 1e6),
-			AdvanceP99Ms:  roundMs(float64(cal.Obs.AdvTotal.P99()) / 1e6),
-			Messages:      cal.Transport.Messages,
-		}
-		if *traceSample > 0 {
-			snap.StageP50Ms = make(map[string]float64)
-			snap.StageP99Ms = make(map[string]float64)
-			for i, name := range obs.StageNames {
-				if s := cal.Obs.Stages[i]; s.Count > 0 {
-					snap.StageP50Ms[name] = roundMs(float64(s.P50()) / 1e6)
-					snap.StageP99Ms[name] = roundMs(float64(s.P99()) / 1e6)
-				}
-			}
-		}
-		buf, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "snapshot encode:", err)
-			failures++
-		} else if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "snapshot write:", err)
-			failures++
-		} else {
-			fmt.Printf("benchmark snapshot: %.1f txn/s over %d txns -> %s\n", snap.ThroughputTPS, snap.Txns, *out)
-		}
-	}
-
 	if failures > 0 {
-		stopProf()
 		os.Exit(1)
 	}
-}
-
-// roundMs keeps the snapshot diff-friendly: three decimals are plenty
-// for millisecond latencies and whole-txn/s throughputs.
-func roundMs(v float64) float64 { return math.Round(v*1000) / 1000 }
-
-// printStageTable renders the per-stage latency attribution of the
-// sampled root transactions: where an end-to-end millisecond actually
-// goes. wire + queue + service + ack partition the total exactly per
-// transaction; fsync is a sub-interval of service and session of wire,
-// so those two are shown but excluded from the sum row.
-func printStageTable(s obs.Snapshot) {
-	total := s.Stages[obs.StageTotal]
-	if total.Count == 0 {
-		fmt.Println("stage attribution: no sampled transactions (raise -trace-sample coverage)")
-		return
-	}
-	tbl := &harness.Table{Title: "stage attribution (sampled txns)", Header: []string{"stage", "mean (ms)", "p50 (ms)", "p99 (ms)", "share"}}
-	meanOf := func(h obs.HistSnapshot) float64 {
-		if h.Count == 0 {
-			return 0
-		}
-		return float64(h.Sum) / float64(h.Count) / 1e6
-	}
-	totalMean := meanOf(total)
-	var sumMean float64
-	for _, i := range []int{obs.StageWire, obs.StageQueue, obs.StageService, obs.StageAck} {
-		h := s.Stages[i]
-		m := meanOf(h)
-		sumMean += m
-		tbl.Add(obs.StageNames[i], harness.F2(m), harness.Ms(time.Duration(h.P50())), harness.Ms(time.Duration(h.P99())),
-			fmt.Sprintf("%4.1f%%", 100*m/math.Max(totalMean, 1e-9)))
-	}
-	tbl.Add("= total (e2e)", harness.F2(totalMean), harness.Ms(time.Duration(total.P50())), harness.Ms(time.Duration(total.P99())), "100%")
-	for _, i := range []int{obs.StageFsync, obs.StageSession} {
-		h := s.Stages[i]
-		tbl.Add("  ("+obs.StageNames[i]+")", harness.F2(meanOf(h)), harness.Ms(time.Duration(h.P50())), harness.Ms(time.Duration(h.P99())), "sub")
-	}
-	fmt.Println(tbl.String())
-	fmt.Printf("stage sum check: wire+queue+service+ack mean %.3f ms vs e2e mean %.3f ms (%.2f%% apart)\n",
-		sumMean, totalMean, 100*math.Abs(sumMean-totalMean)/math.Max(totalMean, 1e-9))
-}
-
-// stageSumsCheckOut is the -stage-check gate: the four partition stages
-// are measured per-transaction and telescoped, so their means must sum
-// to the end-to-end mean up to clamping slack (negative residuals clamp
-// to zero). 5% is comfortably above observed slack and far below any
-// real attribution bug.
-func stageSumsCheckOut(s obs.Snapshot) bool {
-	total := s.Stages[obs.StageTotal]
-	if total.Count == 0 {
-		fmt.Fprintln(os.Stderr, "stage-check FAILED: no sampled transactions recorded")
-		return false
-	}
-	var sum float64
-	for _, i := range []int{obs.StageWire, obs.StageQueue, obs.StageService, obs.StageAck} {
-		h := s.Stages[i]
-		if h.Count != total.Count {
-			fmt.Fprintf(os.Stderr, "stage-check FAILED: stage %q has %d samples, total has %d\n",
-				obs.StageNames[i], h.Count, total.Count)
-			return false
-		}
-		sum += float64(h.Sum)
-	}
-	tm := float64(total.Sum)
-	if diff := math.Abs(sum - tm); diff > 0.05*tm {
-		fmt.Fprintf(os.Stderr, "stage-check FAILED: stage sum %.0f ns vs e2e %.0f ns (%.1f%% apart, epsilon 5%%)\n",
-			sum, tm, 100*diff/tm)
-		return false
-	}
-	fmt.Println("stage-check OK: stage sums match end-to-end latency within 5%")
-	return true
-}
-
-// calibrate runs a loaded 4-node 3V cluster and returns its throughput
-// together with the observability snapshot — the reference numbers the
-// JSON report pairs with the experiment outcomes. With drop/dup rates
-// (and the reliable session layer) it doubles as the lossy-network
-// overhead measurement recorded in EXPERIMENTS.md. transportKind "tcp"
-// swaps the in-memory network for tcpnet in ForceTCP mode: the cluster
-// stays in one process, but every message is binary-encoded and pushed
-// through a real loopback socket — the wire-overhead measurement.
-// failoverOn runs the identical load with Config.Failover: per-node
-// standby managers, lease heartbeats, and term fencing on every
-// message, with the coordinator kept healthy — the failover-cost
-// measurement. batch > 0 turns on the batched hot path (link
-// coalescing or batched wire frames, chunked admission, batched
-// counter sweeps) and submits batch-sized groups through
-// Cluster.SubmitBatch; perBatchLat additionally charges the mem
-// transport's simulated latency + jitter once per flush envelope —
-// the jitter ablation. partitions > 1 splits the keyspace into
-// independently-advancing partitions (every sweep samples AdvTotal per
-// partition, so the advance quantiles become per-partition sweep
-// latencies) and skew biases group selection toward hot keys — together
-// they are the "Partitioned advancement" measurement of EXPERIMENTS.md.
-func calibrate(txns int, drop, dup float64, reliableNet bool, transportKind string, traceSample int, failoverOn bool, batch int, perBatchLat bool, partitions int, skew float64, replicateOn bool) (*calibrationRun, []obs.Trace, error) {
-	const nodes = 4
-	if partitions <= 1 {
-		partitions = 0 // unpartitioned: keep the field out of snapshots
-	}
-	ccfg := core.Config{
-		Nodes:      nodes,
-		Partitions: partitions,
-		NetConfig: transport.Config{
-			Jitter: 200 * time.Microsecond,
-			Seed:   1,
-			Faults: transport.Faults{Default: transport.LinkFaults{DropRate: drop, DupRate: dup}},
-		},
-		Reliable:  reliableNet,
-		Failover:  failoverOn,
-		Replicate: replicateOn,
-		Obs:       obs.Options{TraceSampleN: traceSample},
-	}
-	if batch > 0 {
-		const window = 100 * time.Microsecond
-		ccfg.NetConfig.BatchWindow = window
-		ccfg.NetConfig.PerBatchLatency = perBatchLat
-		ccfg.ExecChunk = 64
-		ccfg.BatchedCounters = true
-		if reliableNet {
-			ccfg.ReliableConfig.FlushInterval = window
-		}
-	}
-	var tn *tcpnet.Net
-	if transportKind == "tcp" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		// Endpoint space: with failover every node also hosts a
-		// coordinator endpoint (ids Nodes..2*Nodes-1); without, only the
-		// single coordinator endpoint id Nodes exists.
-		span := nodes + 1
-		if failoverOn {
-			span = 2 * nodes
-		}
-		local := make([]model.NodeID, span)
-		for i := range local {
-			local[i] = model.NodeID(i)
-		}
-		tn, err = tcpnet.New(tcpnet.Config{Local: local, Listener: ln, ForceTCP: true, BatchFrames: batch > 0})
-		if err != nil {
-			return nil, nil, err
-		}
-		defer tn.Close() // idempotent; also closed via the cluster when reliable wraps it
-		ccfg.Transport = tn
-	}
-	if reliableNet {
-		ccfg.ResendInterval = 5 * time.Millisecond
-		ccfg.AckTimeout = 30 * time.Second
-	}
-	cluster, err := core.NewCluster(ccfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if tn != nil {
-		tn.SetObs(cluster.Obs())
-	}
-	cluster.Start()
-	defer cluster.Close()
-
-	gen := workload.New(workload.Config{
-		Nodes:        4,
-		Groups:       256,
-		Span:         2,
-		ReadFraction: 0.2,
-		Skew:         skew,
-		Seed:         1,
-	})
-	res := harness.Run(baseline.ThreeV{Cluster: cluster}, harness.RunConfig{
-		Txns:            txns,
-		Concurrency:     8,
-		Batch:           batch,
-		AdvanceInterval: 5 * time.Millisecond,
-		FinalAdvance:    true,
-		Gen:             gen,
-		Preload: func(n model.NodeID, k string) {
-			rec := model.NewRecord()
-			rec.Fields["bal"] = 0
-			cluster.Preload(n, k, rec)
-		},
-	})
-	if partitions > 1 {
-		if prep := verify.CheckPartitions(cluster); !prep.OK() {
-			return nil, nil, fmt.Errorf("per-partition audit failed: %v", prep.Violations)
-		}
-		fmt.Printf("partitioned calibration: %d partitions, per-partition audit OK\n", partitions)
-	}
-	if replicateOn {
-		s := cluster.ObsSnapshot()
-		fmt.Printf("replicated calibration: %d repl sends, %d repl applies, %d acks\n",
-			s.Counters["repl_sends"], s.Counters["repl_applies"], s.Counters["repl_acks"])
-	}
-	cal := &calibrationRun{
-		Txns:          txns,
-		Completed:     res.Completed,
-		ThroughputTPS: res.Throughput(),
-		TransportKind: transportKind,
-		DropRate:      drop,
-		DupRate:       dup,
-		Reliable:      reliableNet,
-		Failover:      failoverOn,
-		Replicate:     replicateOn,
-		Batch:         batch,
-		Partitions:    partitions,
-		Skew:          skew,
-		Transport:     cluster.Metrics().Transport,
-		Obs:           cluster.ObsSnapshot(),
-	}
-	return cal, cluster.ObsTraces(), nil
-}
-
-// calibrateWAL measures the durability tax end-to-end: three
-// single-node clusters in one OS process, wired exactly like three
-// cmd/threev-node processes (loopback TCP, reliable sessions), each
-// journaling to its own WAL under the given fsync policy. mode "none"
-// runs the identical topology without a WAL — the baseline the
-// never/interval/always sweep in EXPERIMENTS.md is measured against.
-// The workload is the commuting all-node tree of the node binary's
-// /workload endpoint, rooted round-robin across the three clusters.
-func calibrateWAL(txns int, mode string) (*calibrationRun, error) {
-	const nodes = 3
-	var policy wal.Policy
-	if mode != "none" {
-		p, err := wal.ParsePolicy(mode)
-		if err != nil {
-			return nil, fmt.Errorf("-wal: %w", err)
-		}
-		policy = p
-	}
-	tmp, err := os.MkdirTemp("", "threev-wal-bench-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-
-	listeners := make([]net.Listener, nodes)
-	for i := range listeners {
-		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			return nil, lerr
-		}
-		listeners[i] = ln
-	}
-	type proc struct {
-		db      *durable.DB
-		cluster *core.Cluster
-	}
-	procs := make([]*proc, nodes)
-	defer func() {
-		for _, p := range procs {
-			if p == nil {
-				continue
-			}
-			if p.cluster != nil {
-				p.cluster.Close()
-			}
-			if p.db != nil {
-				p.db.Close()
-			}
-		}
-	}()
-	for i := 0; i < nodes; i++ {
-		local := []model.NodeID{model.NodeID(i)}
-		if i == 0 {
-			local = append(local, model.NodeID(nodes)) // coordinator endpoint
-		}
-		tpeers := make(map[model.NodeID]string)
-		for j, ln := range listeners {
-			if j != i {
-				tpeers[model.NodeID(j)] = ln.Addr().String()
-			}
-		}
-		if i != 0 {
-			tpeers[model.NodeID(nodes)] = listeners[0].Addr().String()
-		}
-		tn, terr := tcpnet.New(tcpnet.Config{Local: local, Peers: tpeers, Listener: listeners[i]})
-		if terr != nil {
-			return nil, terr
-		}
-		p := &proc{}
-		var restore *core.NodeRestore
-		var sess *reliable.SessionState
-		if mode != "none" {
-			p.db, restore, sess, err = durable.Open(durable.Options{
-				Dir:   fmt.Sprintf("%s/node%d", tmp, i),
-				Self:  model.NodeID(i),
-				Nodes: nodes,
-				Fsync: policy,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		cfg := core.Config{
-			Nodes:            nodes,
-			LocalNodes:       []int{i},
-			LocalCoordinator: i == 0,
-			Transport:        tn,
-			Reliable:         true,
-			ReliableConfig: reliable.Config{
-				RetransmitInterval: 5 * time.Millisecond,
-				MaxBackoff:         100 * time.Millisecond,
-			},
-			AckTimeout:     30 * time.Second,
-			ResendInterval: 20 * time.Millisecond,
-		}
-		if p.db != nil {
-			cfg.Journal = p.db
-			cfg.Restore = restore
-			cfg.ReliableConfig.Journal = p.db
-			cfg.ReliableConfig.Gate = p.db.Gate()
-			cfg.ReliableConfig.Restore = sess
-		}
-		p.cluster, err = core.NewCluster(cfg)
-		if err != nil {
-			return nil, err
-		}
-		tn.SetObs(p.cluster.Obs())
-		if p.db != nil {
-			p.db.Bind(p.cluster.Node(i), p.cluster.Session())
-			p.db.SetObs(p.cluster.Obs())
-		}
-		rec := model.NewRecord()
-		rec.Fields["bal"] = 0
-		p.cluster.Preload(model.NodeID(i), fmt.Sprintf("acct-%d", i), rec)
-		if p.db != nil {
-			if cerr := p.db.Checkpoint(); cerr != nil {
-				return nil, cerr
-			}
-		}
-		p.cluster.Start()
-		if p.db != nil {
-			p.db.StartCheckpoints()
-		}
-		procs[i] = p
-	}
-
-	// Round-robin the commuting all-node tree across the clusters with
-	// bounded in-flight per submitter, then wait for every root.
-	start := time.Now()
-	var wg sync.WaitGroup
-	completed := make([]int, nodes)
-	errs := make([]error, nodes)
-	for i := 0; i < nodes; i++ {
-		i := i
-		share := txns / nodes
-		if i < txns%nodes {
-			share++
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			const window = 16
-			handles := make([]*core.Handle, 0, share)
-			for k := 0; k < share; k++ {
-				root := &model.SubtxnSpec{
-					Node:    model.NodeID(i),
-					Updates: []model.KeyOp{{Key: fmt.Sprintf("acct-%d", i), Op: model.AddOp{Field: "bal", Delta: 1}}},
-				}
-				for j := 0; j < nodes; j++ {
-					if j != i {
-						root.Children = append(root.Children, &model.SubtxnSpec{
-							Node:    model.NodeID(j),
-							Updates: []model.KeyOp{{Key: fmt.Sprintf("acct-%d", j), Op: model.AddOp{Field: "bal", Delta: 1}}},
-						})
-					}
-				}
-				h, serr := procs[i].cluster.Submit(&model.TxnSpec{Label: fmt.Sprintf("wal-%d-%d", i, k), Root: root})
-				if serr != nil {
-					errs[i] = serr
-					return
-				}
-				handles = append(handles, h)
-				if over := len(handles) - window; over >= 0 && !handles[over].WaitTimeout(time.Minute) {
-					errs[i] = fmt.Errorf("cluster %d: txn %d did not complete", i, over)
-					return
-				}
-			}
-			for _, h := range handles {
-				if !h.WaitTimeout(time.Minute) {
-					errs[i] = fmt.Errorf("cluster %d: a txn did not complete", i)
-					return
-				}
-			}
-			completed[i] = len(handles)
-		}()
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	if rep := procs[0].cluster.Advance(); rep.Err != nil {
-		return nil, fmt.Errorf("final advancement: %w", rep.Err)
-	}
-	elapsed := time.Since(start)
-
-	cal := &calibrationRun{
-		Txns:          txns,
-		Completed:     completed[0] + completed[1] + completed[2],
-		ThroughputTPS: float64(txns) / elapsed.Seconds(),
-		TransportKind: "tcp",
-		Reliable:      true,
-		WALMode:       mode,
-		Transport:     procs[0].cluster.Metrics().Transport,
-		Obs:           procs[0].cluster.ObsSnapshot(),
-	}
-	for _, p := range procs {
-		if p.db != nil {
-			st := p.db.Stats()
-			cal.WALRecords += st.Records
-			cal.WALFsyncs += st.Fsyncs
-		}
-	}
-	return cal, nil
 }

@@ -166,16 +166,16 @@ type stateReport struct {
 	PlacementVersion int              `json:"placement_version"`
 	Placement        [][]model.NodeID `json:"placement,omitempty"`
 	Partitions       []partitionState `json:"partitions,omitempty"`
-	Committed   int64    `json:"committed_updates"`
-	Violations  []string `json:"violations"`
-	Convergence []string `json:"convergence_errors"`
-	Messages    int64    `json:"messages"`
-	BytesSent   int64    `json:"bytes_sent"`
-	BytesRecv   int64    `json:"bytes_received"`
-	Reconnects  int64    `json:"reconnects"`
-	Durable     bool     `json:"durable"`
-	WALRecords  uint64   `json:"wal_records,omitempty"`
-	WALFsyncs   int64    `json:"wal_fsyncs,omitempty"`
+	Committed        int64            `json:"committed_updates"`
+	Violations       []string         `json:"violations"`
+	Convergence      []string         `json:"convergence_errors"`
+	Messages         int64            `json:"messages"`
+	BytesSent        int64            `json:"bytes_sent"`
+	BytesRecv        int64            `json:"bytes_received"`
+	Reconnects       int64            `json:"reconnects"`
+	Durable          bool             `json:"durable"`
+	WALRecords       uint64           `json:"wal_records,omitempty"`
+	WALFsyncs        int64            `json:"wal_fsyncs,omitempty"`
 	// MeanBatchSize is the observed mean messages per batched wire
 	// frame; present only when the batched hot path is on (-batch) and
 	// traffic has flowed.
@@ -212,7 +212,7 @@ func (s *nodeServer) handleState(w http.ResponseWriter, _ *http.Request) {
 		Placement:        pm.Owners,
 		Partitions:       parts,
 
-		Committed: s.cluster.CommittedUpdates(),
+		Committed:   s.cluster.CommittedUpdates(),
 		Violations:  s.cluster.Violations(),
 		Convergence: s.cluster.ConvergenceErrors(),
 		Messages:    ts.Messages,

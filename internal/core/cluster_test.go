@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -315,8 +316,43 @@ func TestSubmitErrors(t *testing.T) {
 	if _, err := c.Submit(&model.TxnSpec{Root: &model.SubtxnSpec{Node: 99}}); err == nil {
 		t.Error("out-of-range root node accepted")
 	}
-	if _, err := NewCluster(Config{}); err == nil {
-		t.Error("zero-node cluster accepted")
+}
+
+// TestNewClusterRejectsIncompatibleConfigs has one row per rejection
+// rule in NewCluster: the executable form of the incompatibility
+// comments on Config. Each row is otherwise valid, so the named rule is
+// the one that fires.
+func TestNewClusterRejectsIncompatibleConfigs(t *testing.T) {
+	nw := transport.NewNet(transport.Config{Nodes: 4})
+	defer nw.Close()
+	restore := &NodeRestore{}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // substring of the error
+	}{
+		{"no nodes", Config{}, "Nodes must be positive"},
+		{"NCMode with SyncExec", Config{Nodes: 3, NCMode: true, SyncExec: true}, "SyncExec cannot be combined with NCMode"},
+		{"NCMode with ExecChunk", Config{Nodes: 3, NCMode: true, ExecChunk: 2}, "ExecChunk cannot be combined with NCMode"},
+		{"NCMode with Partitions", Config{Nodes: 3, NCMode: true, Partitions: 2}, "Partitions cannot be combined with NCMode"},
+		{"NCMode with Replicate", Config{Nodes: 3, NCMode: true, Replicate: true, Reliable: true}, "Replicate cannot be combined with NCMode"},
+		{"NCMode with LocalNodes", Config{Nodes: 3, NCMode: true, LocalNodes: []int{0}, Transport: nw}, "NCMode is unsupported in distributed mode"},
+		{"Replicate without Reliable", Config{Nodes: 3, Replicate: true}, "Replicate requires the reliable session layer"},
+		{"Restore without LocalNodes", Config{Nodes: 3, Restore: restore, Reliable: true}, "exactly one local node"},
+		{"Restore with two local nodes", Config{Nodes: 3, Restore: restore, Reliable: true, LocalNodes: []int{0, 1}, Transport: nw}, "exactly one local node"},
+		{"Restore without Reliable", Config{Nodes: 3, Restore: restore, LocalNodes: []int{0}, Transport: nw}, "Journal/Restore require the reliable session layer"},
+		{"Restore with SyncExec", Config{Nodes: 3, Restore: restore, Reliable: true, SyncExec: true, LocalNodes: []int{0}, Transport: nw}, "Journal cannot be combined with SyncExec"},
+		{"LocalNodes without Transport", Config{Nodes: 3, LocalNodes: []int{0}}, "requires an explicit Transport"},
+		{"LocalNodes out of range", Config{Nodes: 3, LocalNodes: []int{7}, Transport: nw}, "id 7 out of range"},
+		{"LocalNodes duplicated", Config{Nodes: 3, LocalNodes: []int{0, 0}, Transport: nw}, "id 0 listed twice"},
+	} {
+		c, err := NewCluster(tc.cfg)
+		if err == nil {
+			c.Close()
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %q, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -215,9 +215,6 @@ func TestDistributedClusterSurvivesConnectionKills(t *testing.T) {
 }
 
 func TestDistributedModeValidation(t *testing.T) {
-	if _, err := core.NewCluster(core.Config{Nodes: 3, LocalNodes: []int{0}}); err == nil {
-		t.Error("distributed mode without Transport accepted")
-	}
 	nw, err := tcpnet.New(tcpnet.Config{
 		Local: []model.NodeID{0, 3},
 		Listener: func() net.Listener {
@@ -232,15 +229,6 @@ func TestDistributedModeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	if _, err := core.NewCluster(core.Config{Nodes: 3, LocalNodes: []int{0}, NCMode: true, Transport: nw}); err == nil {
-		t.Error("distributed NCMode accepted")
-	}
-	if _, err := core.NewCluster(core.Config{Nodes: 3, LocalNodes: []int{0, 0}, Transport: nw}); err == nil {
-		t.Error("duplicate LocalNodes accepted")
-	}
-	if _, err := core.NewCluster(core.Config{Nodes: 3, LocalNodes: []int{7}, Transport: nw}); err == nil {
-		t.Error("out-of-range LocalNodes accepted")
-	}
 
 	c, err := core.NewCluster(core.Config{Nodes: 3, LocalNodes: []int{0}, Transport: nw})
 	if err != nil {

@@ -33,23 +33,11 @@ const (
 	recReplSeq  = 12 // seq uvarint [| part uvarint] — replSeq[part] = max(seq, s)
 )
 
-// Checkpoint blob format version. Version 2 adds the coordinator term
-// after nextEnq; version 3 adds the partition count plus per-partition
-// version pairs and partition-tagged counter sections; version 4 adds
-// the replica-group frontiers (per-partition replication term, sent
-// sequence, and per-sender applied sequence). Older blobs still decode:
-// a pre-v3 blob's single version pair and counter section describe
-// partition 0 (the only partition a pre-partitioning node had), and a
-// v3 blob restores with zero replica frontiers (replication had never
-// run when it was taken). The version-switch records likewise append
-// the partition id only when it is non-zero, so unpartitioned logs are
-// byte-identical to version 2's.
-const (
-	ckptVersion   = 4
-	ckptVersionV3 = 3
-	ckptVersionV2 = 2
-	ckptVersionV1 = 1
-)
+// Checkpoint blob format version: the one generation Checkpoint writes
+// (encodeCheckpointLocked is the layout) and the only one
+// decodeCheckpoint accepts. The version-switch records append the
+// partition id only when it is non-zero.
+const ckptVersion = 4
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))

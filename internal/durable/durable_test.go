@@ -387,3 +387,19 @@ func TestRestartIdempotent(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestDecodeCheckpointRefusesOtherGenerations pins the one-generation
+// rule: only the blob version Checkpoint writes decodes. The body is a
+// well-formed generation-3 blob (node 0 of 1, one partition at versions
+// 1/2, empty store, counters, pending set and mirrors), so it is the
+// version byte alone that gets it refused.
+func TestDecodeCheckpointRefusesOtherGenerations(t *testing.T) {
+	db := &DB{opts: Options{Self: 0, Nodes: 1, Partitions: 1}}
+	body := []byte{0, 1, 1, 2, 1, 0, 1, 1, 2, 0, 0, 0, 0, 0}
+	for _, ver := range []byte{0, 3, ckptVersion + 1} {
+		_, err := db.decodeCheckpoint(append([]byte{ver}, body...))
+		if want := fmt.Sprintf("unsupported blob version %d", ver); err == nil || err.Error() != want {
+			t.Errorf("blob version %d: err = %v, want %q", ver, err, want)
+		}
+	}
+}

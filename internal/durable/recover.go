@@ -206,7 +206,7 @@ func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.
 func (db *DB) decodeCheckpoint(blob []byte) (*replayState, error) {
 	c := &cur{b: blob}
 	ver := c.byte()
-	if c.err == nil && ver != ckptVersion && ver != ckptVersionV3 && ver != ckptVersionV2 && ver != ckptVersionV1 {
+	if c.err == nil && ver != ckptVersion {
 		return nil, fmt.Errorf("unsupported blob version %d", ver)
 	}
 	self := model.NodeID(c.varint())
@@ -221,24 +221,16 @@ func (db *DB) decodeCheckpoint(blob []byte) (*replayState, error) {
 		send:    make(map[link]*sendMirror),
 		recv:    make(map[link]uint64),
 	}
-	legacyVR := model.Version(c.uvarint())
-	legacyVU := model.Version(c.uvarint())
+	// Partition 0's version pair, which the per-partition pairs below
+	// repeat.
+	c.uvarint()
+	c.uvarint()
 	rs.nextEnq = c.uvarint()
-	if ver >= ckptVersionV2 {
-		rs.coordTerm = c.uvarint()
-	}
-	// Version 3 carries the partition count and every partition's
-	// version pair; older blobs describe a single partition.
-	nparts := 1
-	if ver >= ckptVersionV3 {
-		nparts = c.count()
-		if c.err == nil && nparts != db.opts.Partitions {
-			return nil, fmt.Errorf("checkpoint has %d partitions, this process is configured with %d",
-				nparts, db.opts.Partitions)
-		}
-	} else if db.opts.Partitions != 1 {
-		return nil, fmt.Errorf("checkpoint predates partitioning, this process is configured with %d partitions",
-			db.opts.Partitions)
+	rs.coordTerm = c.uvarint()
+	nparts := c.count()
+	if c.err == nil && nparts != db.opts.Partitions {
+		return nil, fmt.Errorf("checkpoint has %d partitions, this process is configured with %d",
+			nparts, db.opts.Partitions)
 	}
 	if c.err != nil {
 		return nil, c.err
@@ -249,28 +241,20 @@ func (db *DB) decodeCheckpoint(blob []byte) (*replayState, error) {
 	for p := range rs.cnts {
 		rs.cnts[p] = counters.NewTable(db.opts.Self, db.opts.Nodes)
 	}
-	rs.vrs[0], rs.vus[0] = legacyVR, legacyVU
-	if ver >= ckptVersionV3 {
-		for p := 0; p < nparts && c.err == nil; p++ {
-			rs.vrs[p] = model.Version(c.uvarint())
-			rs.vus[p] = model.Version(c.uvarint())
-		}
+	for p := 0; p < nparts && c.err == nil; p++ {
+		rs.vrs[p] = model.Version(c.uvarint())
+		rs.vus[p] = model.Version(c.uvarint())
 	}
-	// Version 4: replica-group frontiers (pre-v4 blobs restore zeros —
-	// replication had never run when they were taken).
+	// Replica-group frontiers.
 	rs.replTerms = make([]uint64, nparts)
 	rs.replSeqs = make([]uint64, nparts)
 	rs.replApplied = make([][]uint64, nparts)
-	for p := range rs.replApplied {
+	for p := 0; p < nparts && c.err == nil; p++ {
+		rs.replTerms[p] = c.uvarint()
+		rs.replSeqs[p] = c.uvarint()
 		rs.replApplied[p] = make([]uint64, db.opts.Nodes)
-	}
-	if ver >= ckptVersion {
-		for p := 0; p < nparts && c.err == nil; p++ {
-			rs.replTerms[p] = c.uvarint()
-			rs.replSeqs[p] = c.uvarint()
-			for q := 0; q < db.opts.Nodes && c.err == nil; q++ {
-				rs.replApplied[p][q] = c.uvarint()
-			}
+		for q := 0; q < db.opts.Nodes && c.err == nil; q++ {
+			rs.replApplied[p][q] = c.uvarint()
 		}
 	}
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -210,6 +211,32 @@ func TestReplicatedKillPartitionPrimary(t *testing.T) {
 	}
 	if errs := c.ConvergenceErrors(); len(errs) != 0 {
 		t.Fatalf("convergence audit failed: %v", errs)
+	}
+
+	// The audits above do not wait for the replica streams: the healed
+	// ex-primary may still be applying the promoted backup's stream from
+	// session retransmissions (and the other owners the ex-primary's).
+	// Wait until every owner has applied all that every other owner
+	// sent on partition 1.
+	lagging := func() string {
+		for _, s := range owners {
+			for _, o := range owners {
+				if o == s {
+					continue
+				}
+				if applied, sent := c.Node(int(o)).ReplAppliedSeq(1, s), c.Node(int(s)).ReplSentSeq(1); applied != sent {
+					return fmt.Sprintf("owner %d applied %d of the %d frames owner %d sent", o, applied, sent, s)
+				}
+			}
+		}
+		return ""
+	}
+	catchUp := time.Now().Add(10 * time.Second)
+	for lag := lagging(); lag != ""; lag = lagging() {
+		if time.Now().After(catchUp) {
+			t.Fatalf("partition 1's replica streams not caught up 10s after heal: %s", lag)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 
 	// Read-backs: every owner of partition 1 — including the healed

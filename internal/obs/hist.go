@@ -19,7 +19,7 @@ import (
 // octave (power of two), giving ≤ 6.25% relative bucket width; with the
 // within-bucket interpolation in Quantile, nearby distinct latencies
 // report distinct quantiles instead of collapsing to shared bucket
-// edges (the BENCH_1 "every p50 is exactly 2.621 ms" artifact). Values
+// edges (the "every p50 is exactly 2.621 ms" artifact). Values
 // are int64 — nanoseconds for latencies, plain counts for e.g.
 // quiescence sweeps.
 const (

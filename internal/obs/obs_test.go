@@ -76,7 +76,7 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 // TestHistogramDistinctNearbyP50s is the regression test for the
-// BENCH_1 artifact where read and update p50 both reported exactly
+// artifact where read and update p50 both reported exactly
 // 2.621 ms (= 2^21 ns × 1.25): with coarse power-of-two buckets and
 // edge-valued quantiles, any latency in [2^21, 2.5·2^21) collapsed to
 // the same number. Sub-bucketed octaves plus interpolation must keep

@@ -17,8 +17,7 @@
 // same no-waiting property the in-memory Net provides) and local
 // endpoints are delivered to by one goroutine per endpoint, preserving
 // the handler-serialization the protocol relies on. Self-sends bypass
-// the socket entirely (unless ForceTCP, used by benchmarks to measure
-// the full encode/socket/decode path).
+// the socket entirely.
 //
 // Loss model. TCP gives in-order exactly-once delivery per connection,
 // but a broken connection loses whatever was queued or in flight, and
@@ -53,7 +52,7 @@ type Config struct {
 	// Local lists the protocol endpoint ids hosted by this process.
 	Local []model.NodeID
 	// Peers maps every remote endpoint id to its "host:port" address.
-	// Local ids may be listed too (they are ignored unless ForceTCP).
+	// Local ids may be listed too (they are ignored).
 	Peers map[model.NodeID]string
 	// Listener is the caller-bound listener for inbound connections.
 	// The caller binds (rather than passing an address) so tests can
@@ -71,10 +70,6 @@ type Config struct {
 	// link past any redial path. A timeout is treated as a write
 	// failure: drop the conn, redial, re-send the batch.
 	WriteTimeout time.Duration
-	// ForceTCP disables the loopback bypass: sends to local endpoints
-	// are dialed back to this process's own listener, exercising the
-	// full encode/socket/decode path (benchmark mode).
-	ForceTCP bool
 	// BatchFrames encodes each writer pass's drained queue as a single
 	// version-3 batch frame instead of one frame per message: one length
 	// prefix, one header, one decode on the far side. Messages whose
@@ -300,7 +295,7 @@ func New(cfg Config) (*Net, error) {
 		n.inboxes[id] = newInbox()
 	}
 	for id, addr := range cfg.Peers {
-		if n.local[id] && !cfg.ForceTCP {
+		if n.local[id] {
 			continue
 		}
 		link, ok := n.links[addr]
@@ -309,22 +304,6 @@ func New(cfg Config) (*Net, error) {
 			n.links[addr] = link
 		}
 		n.route[id] = link
-	}
-	if cfg.ForceTCP {
-		// Benchmark mode: local endpoints without an explicit peer
-		// entry loop through our own listener.
-		self := cfg.Listener.Addr().String()
-		for id := range n.local {
-			if _, ok := n.route[id]; ok {
-				continue
-			}
-			link, ok := n.links[self]
-			if !ok {
-				link = newPeerLink(self)
-				n.links[self] = link
-			}
-			n.route[id] = link
-		}
 	}
 	return n, nil
 }
@@ -383,9 +362,8 @@ func (n *Net) deliverLoop(id model.NodeID) {
 }
 
 // Send implements Network: never blocks. Local destinations are
-// delivered via the in-process inbox (unless ForceTCP); remote ones
-// are queued on their link's send ring for the writer to encode and
-// flush.
+// delivered via the in-process inbox; remote ones are queued on their
+// link's send ring for the writer to encode and flush.
 func (n *Net) Send(m transport.Message) {
 	n.stats.Count(m)
 	if link, ok := n.route[m.To]; ok {

@@ -18,7 +18,7 @@ import (
 // newTestCluster builds k tcpnet Nets in one process, endpoint i
 // hosted by net i, all on loopback listeners. Returns the nets; the
 // caller registers handlers and Starts them.
-func newTestCluster(t *testing.T, k int, force bool) []*Net {
+func newTestCluster(t *testing.T, k int) []*Net {
 	t.Helper()
 	listeners := make([]net.Listener, k)
 	for i := range listeners {
@@ -41,7 +41,6 @@ func newTestCluster(t *testing.T, k int, force bool) []*Net {
 			Peers:        peers,
 			Listener:     listeners[i],
 			ReconnectMin: 5 * time.Millisecond,
-			ForceTCP:     force,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +65,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestCrossProcessDelivery(t *testing.T) {
 	const k, per = 3, 100
-	nets := newTestCluster(t, k, false)
+	nets := newTestCluster(t, k)
 	var got [k]atomic.Int64
 	var sum [k]atomic.Int64
 	for i, n := range nets {
@@ -125,7 +124,7 @@ func TestCrossProcessDelivery(t *testing.T) {
 // delivered fine, and no frames are counted.
 func TestLoopbackBypass(t *testing.T) {
 	type unencodable struct{ v int }
-	nets := newTestCluster(t, 1, false)
+	nets := newTestCluster(t, 1)
 	var got atomic.Int64
 	nets[0].Register(0, func(m transport.Message) {
 		if p, ok := m.Payload.(unencodable); ok && p.v == 7 {
@@ -140,27 +139,13 @@ func TestLoopbackBypass(t *testing.T) {
 	}
 }
 
-// TestForceTCPSelfSend checks benchmark mode: with ForceTCP a
-// self-send takes the full encode/socket/decode path.
-func TestForceTCPSelfSend(t *testing.T) {
-	nets := newTestCluster(t, 1, true)
-	var got atomic.Int64
-	nets[0].Register(0, func(m transport.Message) { got.Add(1) })
-	nets[0].Start()
-	nets[0].Send(transport.Message{From: 0, To: 0, Payload: core.GCMsg{Keep: 1}})
-	waitFor(t, "forced TCP self delivery", func() bool { return got.Load() == 1 })
-	if st := nets[0].Stats(); st.FramesSent != 1 || st.FramesReceived != 1 {
-		t.Errorf("ForceTCP self-send did not cross the socket: %+v", st)
-	}
-}
-
 // TestReliableHealsKilledConnections is the acceptance-criteria check
 // at unit scale: reliable.Wrap composed over tcpnet delivers every
 // message exactly once even when every live connection is forcibly
 // killed mid-run.
 func TestReliableHealsKilledConnections(t *testing.T) {
 	const total = 400
-	nets := newTestCluster(t, 2, false)
+	nets := newTestCluster(t, 2)
 	sessions := make([]*reliable.Session, 2)
 	for i, n := range nets {
 		sessions[i] = reliable.Wrap(n, 2, reliable.Config{
@@ -416,7 +401,7 @@ func TestBatchFramesCoalesceAndRoute(t *testing.T) {
 // senders and KillConnections run concurrently — the -race exercise
 // for the accounting paths.
 func TestScrapeUnderLoad(t *testing.T) {
-	nets := newTestCluster(t, 2, false)
+	nets := newTestCluster(t, 2)
 	reg := obs.New(obs.Options{})
 	for i, n := range nets {
 		i := i

@@ -331,14 +331,6 @@ type Config struct {
 	// MaxBatch caps messages per flush (a full buffer flushes without
 	// waiting out the window); 0 means 256.
 	MaxBatch int
-	// PerBatchLatency charges BaseLatency + one jitter draw per flush
-	// envelope instead of per member. Without it a k-message batch is
-	// delayed by the max of k per-member draws — the batch arrives when
-	// its slowest member would have — so enabling batching alone never
-	// understates simulated latency; this flag is the explicit ablation
-	// that removes the simulator's per-message jitter from the measured
-	// path (see EXPERIMENTS.md "Batching").
-	PerBatchLatency bool
 }
 
 // Net is the live network. Each node has one mailbox and one delivery
@@ -595,10 +587,10 @@ func (n *Net) dispatch(m Message, extra time.Duration) {
 	d := n.cfg.BaseLatency + extra
 	if n.cfg.Jitter > 0 {
 		// A batch envelope is delayed by the max of its members' draws —
-		// it arrives when its slowest member would have — unless the
-		// PerBatchLatency ablation charges a single draw per flush.
+		// it arrives when its slowest member would have — so batching
+		// never understates simulated latency.
 		draws := 1
-		if b, ok := m.Payload.(BatchMsg); ok && !n.cfg.PerBatchLatency {
+		if b, ok := m.Payload.(BatchMsg); ok {
 			draws = len(b.Msgs)
 		}
 		var jmax time.Duration

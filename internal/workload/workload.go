@@ -14,7 +14,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/model"
@@ -62,9 +61,6 @@ type Config struct {
 	// AbortFraction is the probability a commuting update aborts at the
 	// root (compensating its whole tree).
 	AbortFraction float64
-	// Skew biases group selection toward low-numbered groups: 0 is
-	// uniform; higher values concentrate load (P(g) ∝ (g+1)^-Skew).
-	Skew float64
 	// Seed makes the stream reproducible; 0 selects a fixed default.
 	Seed int64
 }
@@ -95,8 +91,6 @@ type Generator struct {
 	rng      *rand.Rand
 	seq      uint64
 	groupSeq []int64
-	weights  []float64
-	totalW   float64
 }
 
 // writerNamespace is the fake origin node used for generator-minted
@@ -122,19 +116,11 @@ func New(cfg Config) *Generator {
 	if seed == 0 {
 		seed = 1997
 	}
-	g := &Generator{
+	return &Generator{
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
 		groupSeq: make([]int64, cfg.Groups),
 	}
-	if cfg.Skew > 0 {
-		g.weights = make([]float64, cfg.Groups)
-		for i := range g.weights {
-			g.weights[i] = math.Pow(float64(i+1), -cfg.Skew)
-			g.totalW += g.weights[i]
-		}
-	}
-	return g
 }
 
 // GroupKey returns the node-local key name of group g.
@@ -171,25 +157,10 @@ func (g *Generator) PreloadSpecs() []struct {
 	return out
 }
 
-// pickGroup draws a group per the skew setting.
-func (g *Generator) pickGroup() int {
-	if g.weights == nil {
-		return g.rng.Intn(g.cfg.Groups)
-	}
-	x := g.rng.Float64() * g.totalW
-	for i, w := range g.weights {
-		x -= w
-		if x <= 0 {
-			return i
-		}
-	}
-	return g.cfg.Groups - 1
-}
-
 // Next produces the next transaction in the stream.
 func (g *Generator) Next() Txn {
 	r := g.rng.Float64()
-	group := g.pickGroup()
+	group := g.rng.Intn(g.cfg.Groups)
 	switch {
 	case r < g.cfg.ReadFraction:
 		return g.read(group)

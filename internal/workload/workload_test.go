@@ -135,17 +135,6 @@ func TestAbortFractionRespectsGroundTruth(t *testing.T) {
 	}
 }
 
-func TestSkewConcentratesLoad(t *testing.T) {
-	g := New(Config{Nodes: 4, Groups: 50, Skew: 1.5, Seed: 21})
-	counts := make([]int, 50)
-	for i := 0; i < 5000; i++ {
-		counts[g.Next().Group]++
-	}
-	if counts[0] <= counts[49]*2 {
-		t.Errorf("skew ineffective: g0=%d g49=%d", counts[0], counts[49])
-	}
-}
-
 func TestPreloadSpecsCoverAllGroups(t *testing.T) {
 	g := New(Config{Nodes: 4, Groups: 10, Span: 2, Seed: 1})
 	specs := g.PreloadSpecs()

@@ -151,12 +151,6 @@ type Config struct {
 	// ExecChunk overrides the admission chunk size (0 = the default of
 	// 64). Only meaningful with Batching set.
 	ExecChunk int
-	// PerBatchLatency charges the simulated per-message network latency
-	// and jitter once per batched envelope instead of once per member —
-	// the model of a transport whose per-message cost is dominated by
-	// per-packet overhead. Used by the jitter-ablation benchmark; only
-	// meaningful with Batching set.
-	PerBatchLatency bool
 }
 
 // DB is a running 3V database.
@@ -186,7 +180,6 @@ func Open(cfg Config) (*DB, error) {
 			window = 50 * time.Microsecond
 		}
 		nc.BatchWindow = window
-		nc.PerBatchLatency = cfg.PerBatchLatency
 		if cfg.Reliable && rc.FlushInterval <= 0 {
 			rc.FlushInterval = window
 		}
