@@ -361,8 +361,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			}
 		}
 	} else if !c.distributed || cfg.LocalCoordinator {
-		c.coord = newCoordinator(cfg.Nodes, c.nparts, c.net, cfg.PollInterval, cfg.AckTimeout, cfg.ResendInterval, c.reg)
-		c.coord.batchedCounters = cfg.BatchedCounters
+		c.coord = c.coordinatorAt(coordID, 0, nil)
 		// The registered handler indirects through currentCoordinator so a
 		// crashed coordinator can be replaced (CrashCoordinator/Recover)
 		// without touching the transport.
@@ -371,6 +370,17 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		})
 	}
 	return c, nil
+}
+
+// coordinatorAt builds every coordinator this process hosts — the
+// pinned one, CrashCoordinator's successors and each failover
+// manager's — at endpoint id under fencing term term (0 = unfenced),
+// configured from the cluster's Config, with the chaos hook the caller
+// chooses to hand it.
+func (c *Cluster) coordinatorAt(id model.NodeID, term uint64, hook func(part, phase int)) *Coordinator {
+	co := newCoordinator(c.cfg.Nodes, c.nparts, c.net, c.cfg.PollInterval, c.cfg.AckTimeout, c.cfg.ResendInterval, c.reg)
+	co.id, co.term, co.batchedCounters, co.phaseHook = id, term, c.cfg.BatchedCounters, hook
+	return co
 }
 
 // Start launches node worker pools and (if owned) the network.
@@ -633,12 +643,14 @@ func (c *Cluster) CoordinatorStatus() (active bool, term uint64) {
 }
 
 // SetPhaseHook arms a callback fired after each completed phase (1–4)
-// of every advancement sweep driven from this process — the seam the
+// of every advancement cycle driven from this process — sweeps, and the
+// cycles Recover or the catch-up before a sweep finish — the seam the
 // chaos harness uses to kill the coordinator at a deterministic
-// protocol point. Pass nil to disarm. The hook runs on the sweep's
-// goroutine, outside coordinator locks. Partition-aware callers should
-// use SetPartPhaseHook, which also reports which partition's sweep
-// completed the phase.
+// protocol point. Pass nil to disarm. A failover takeover's coordinator
+// inherits the hook; CrashCoordinator's successor starts without one.
+// The hook runs on the sweep's goroutine, outside coordinator locks.
+// Partition-aware callers should use SetPartPhaseHook, which also
+// reports which partition's sweep completed the phase.
 func (c *Cluster) SetPhaseHook(h func(phase int)) {
 	if h == nil {
 		c.SetPartPhaseHook(nil)

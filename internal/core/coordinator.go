@@ -102,11 +102,12 @@ type Coordinator struct {
 	// that. See FailoverManager.
 	term uint64
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	ackVU   map[ackKey]map[model.NodeID]bool
-	ackVR   map[ackKey]map[model.NodeID]bool
-	ackGC   map[ackKey]map[model.NodeID]bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	// The answers await collects: phase acknowledgements keyed by
+	// (phase, partition, version), counter replies and version probe
+	// replies keyed by round.
+	acks    map[ackKey]map[model.NodeID]bool
 	replies map[int]map[model.NodeID]CounterReplyMsg
 	probes  map[int]map[model.NodeID]VersionReplyMsg
 	round   int
@@ -114,10 +115,11 @@ type Coordinator struct {
 	closed  bool // set by shutdown() (Cluster.Close); unwinds blocked waits
 	deposed bool // a node reported a higher term; unwinds waits with ErrStaleTerm
 	// phaseHook, when set, is invoked at the end of each completed
-	// phase of RunAdvancement with the partition and phase number
-	// (1–4). It exists for chaos injection (kill the coordinator
-	// mid-sweep at a deterministic protocol point) and runs without
-	// c.mu held.
+	// phase (1–4) of every cycle this coordinator drives — sweeps and
+	// the cycles Recover or the pre-sweep catch-up finish — with the
+	// partition and phase number. It exists for chaos injection (kill
+	// the coordinator mid-sweep at a deterministic protocol point) and
+	// runs without c.mu held.
 	phaseHook func(part, phase int)
 
 	// nparts is the number of keyspace partitions; parts holds one
@@ -136,12 +138,12 @@ type Coordinator struct {
 	history []AdvanceReport
 }
 
-// ackKey scopes an acknowledgement registry entry to one partition's
-// version: two partitions acknowledging the same version number must
-// not satisfy each other's waits.
+// ackKey scopes an acknowledgement to the phase (1, 3 or 4) and the
+// partition's version it answers: two partitions acknowledging the same
+// version number must not satisfy each other's waits.
 type ackKey struct {
-	part int
-	v    model.Version
+	phase, part int
+	v           model.Version
 }
 
 // coordPart is one partition's epoch state at the coordinator.
@@ -176,9 +178,7 @@ func newCoordinator(n, nparts int, net transport.Network, pollInterval, ackTimeo
 		ackTimeout:   ackTimeout,
 		resend:       resend,
 		reg:          reg,
-		ackVU:        make(map[ackKey]map[model.NodeID]bool),
-		ackVR:        make(map[ackKey]map[model.NodeID]bool),
-		ackGC:        make(map[ackKey]map[model.NodeID]bool),
+		acks:         make(map[ackKey]map[model.NodeID]bool),
 		replies:      make(map[int]map[model.NodeID]CounterReplyMsg),
 		probes:       make(map[int]map[model.NodeID]VersionReplyMsg),
 		parts:        make([]*coordPart, nparts),
@@ -196,37 +196,22 @@ func (c *Coordinator) handleMessage(m transport.Message) {
 	defer c.mu.Unlock()
 	switch p := m.Payload.(type) {
 	case AckAdvancementMsg:
-		ackInto(c.ackVU, ackKey{p.Part, p.NewVU}, p.Node)
+		answer(c.acks, ackKey{1, p.Part, p.NewVU}, p.Node, true)
 	case AckReadVersionMsg:
-		ackInto(c.ackVR, ackKey{p.Part, p.NewVR}, p.Node)
+		answer(c.acks, ackKey{3, p.Part, p.NewVR}, p.Node, true)
 	case AckGCMsg:
-		ackInto(c.ackGC, ackKey{p.Part, p.Keep}, p.Node)
+		answer(c.acks, ackKey{4, p.Part, p.Keep}, p.Node, true)
 	case CounterReplyMsg:
-		rm := c.replies[p.Round]
-		if rm == nil {
-			rm = make(map[model.NodeID]CounterReplyMsg)
-			c.replies[p.Round] = rm
-		}
-		rm[p.Node] = p
+		answer(c.replies, p.Round, p.Node, p)
 	case CountersMsg:
 		// Batched reply: fold each entry into the per-round replies map
 		// the unbatched path fills, one CounterReplyMsg per version (a
 		// sweep round requests exactly one version, so this stores one).
-		rm := c.replies[p.Round]
-		if rm == nil {
-			rm = make(map[model.NodeID]CounterReplyMsg)
-			c.replies[p.Round] = rm
-		}
 		for _, e := range p.Entries {
-			rm[p.Node] = CounterReplyMsg{Version: e.Version, Round: p.Round, Node: p.Node, R: e.R, C: e.C}
+			answer(c.replies, p.Round, p.Node, CounterReplyMsg{Version: e.Version, Round: p.Round, Node: p.Node, R: e.R, C: e.C})
 		}
 	case VersionReplyMsg:
-		pm := c.probes[p.Round]
-		if pm == nil {
-			pm = make(map[model.NodeID]VersionReplyMsg)
-			c.probes[p.Round] = pm
-		}
-		pm[p.Node] = p
+		answer(c.probes, p.Round, p.Node, p)
 	case StaleTermMsg:
 		// A node has seen a higher term than ours: a successor is
 		// active. Depose this coordinator so any blocked wait unwinds
@@ -240,13 +225,15 @@ func (c *Coordinator) handleMessage(m transport.Message) {
 	c.cond.Broadcast()
 }
 
-func ackInto(m map[ackKey]map[model.NodeID]bool, k ackKey, node model.NodeID) {
-	set := m[k]
+// answer records node's answer under key k of one of the registries
+// await collects from. Callers hold c.mu.
+func answer[K comparable, T any](reg map[K]map[model.NodeID]T, k K, node model.NodeID, v T) {
+	set := reg[k]
 	if set == nil {
-		set = make(map[model.NodeID]bool)
-		m[k] = set
+		set = make(map[model.NodeID]T)
+		reg[k] = set
 	}
-	set[node] = true
+	set[node] = v
 }
 
 // Versions returns the coordinator's view of (vr, vu). It never blocks
@@ -302,10 +289,11 @@ func (c *Coordinator) eachPart(f func(part int)) {
 
 // sweepPacer orders the concurrent sweeps of one RunAdvancement call
 // where they load the nodes, because user transactions feel that load.
-// A node answers the resync probe and the garbage-collection notice by
-// scanning its whole store on its delivery goroutine, and a partition's
-// update-version switch makes every replica of its keys copy the record
-// at the next update, hot keys within the millisecond. So these are
+// A node answers the version probe before a sweep and the
+// garbage-collection notice by scanning its whole store on its delivery
+// goroutine, and a partition's update-version switch makes every replica
+// of its keys copy the record at the next update, hot keys within the
+// millisecond. So these are
 // steps taken one at a time across the partitions, and a partition holds
 // its step from the switch until the outgoing version has drained
 // (Phases 1 and 2), which lets its copies land before the next
@@ -326,7 +314,8 @@ func (c *Coordinator) eachPart(f func(part int)) {
 // The first step to fail fails every later step with the same error, so
 // silent nodes cost the call one AckTimeout, not one per partition. A
 // sweep driven on its own (RunAdvancementPart) brings its own pacer and
-// never waits.
+// never waits; so do the cycles Recover finishes. The catch-up a probe
+// triggers runs inside its sweep's first step.
 type sweepPacer struct {
 	mu  sync.Mutex
 	err error
@@ -397,117 +386,120 @@ func (c *Coordinator) runSweep(part int, pace *sweepPacer) AdvanceReport {
 	cp.advMu.Lock()
 	defer cp.advMu.Unlock()
 
-	// Bring any restarted-from-checkpoint node back to the installed
-	// versions before opening a new cycle (no-op unless hardening is on
-	// and a node actually lags).
-	if err := pace.step(func() error { return c.resyncLagging(part) }); err != nil {
-		return AdvanceReport{NewVU: cp.vu + 1, NewVR: cp.vr + 1, Interrupted: true, Err: err}
+	rep := AdvanceReport{Part: part, NewVU: cp.vu + 1, NewVR: cp.vr + 1}
+	// A node restarted from a checkpoint older than the last completed
+	// cycle lags the installed pair: finish that cycle before opening the
+	// next one. Only with re-broadcast hardening on and a cycle completed
+	// (at vu = 1 nothing can lag): the deterministic trace configurations
+	// never restart nodes and must not see probe traffic, and scripted
+	// tests stage the first cycle's messages exactly.
+	if c.resend > 0 && cp.vu > 1 {
+		if err := pace.step(func() error { _, _, err := c.settle(part); return err }); err != nil {
+			rep.Interrupted, rep.Err = true, err
+			return rep
+		}
+		rep.NewVU, rep.NewVR = cp.vu+1, cp.vr+1
 	}
 
-	vuold, vunew := cp.vu, cp.vu+1
-	vrold, vrnew := cp.vr, cp.vr+1
-	rep := AdvanceReport{NewVU: vunew, NewVR: vrnew, Part: part}
 	start := time.Now()
-
-	interrupted := func(err error) AdvanceReport {
-		c.enterPhase(part, 0)
-		rep.Interrupted = true
-		rep.Err = err
-		rep.Total = time.Since(start)
+	began, err := c.cycle(part, 1, pace, &rep)
+	rep.Total = time.Since(start)
+	if err != nil {
+		rep.Interrupted, rep.Err = true, err
 		return rep
 	}
-
-	var t1, t2 time.Time
-	if err := pace.step(func() error {
-		// Phase 1: switch to the new update version.
-		t1 = time.Now()
-		c.enterPhase(part, 1)
-		c.broadcast(StartAdvancementMsg{NewVU: vunew, Term: c.term, Part: part})
-		if err := c.waitAcks(c.ackVU, ackKey{part, vunew}, StartAdvancementMsg{NewVU: vunew, Term: c.term, Part: part}); err != nil {
-			return err
-		}
-		if err := c.phaseDone(part, 1); err != nil {
-			return err
-		}
-		rep.Phase1 = time.Since(t1)
-
-		// Phase 2: updates phase-out — wait for inter-node consistency
-		// of vuold by asynchronous counter reads.
-		t2 = time.Now()
-		c.enterPhase(part, 2)
-		var err error
-		rep.SweepsPhase2, rep.MaxCounterLag, err = c.pollQuiescence(part, vuold)
-		if err != nil {
-			return err
-		}
-		if err := c.phaseDone(part, 2); err != nil {
-			return err
-		}
-		rep.Phase2 = time.Since(t2)
-		return nil
-	}); err != nil {
-		return interrupted(err)
-	}
-
-	// Phase 3: switch to the new read version.
-	t3 := time.Now()
-	c.enterPhase(part, 3)
-	c.broadcast(ReadVersionMsg{NewVR: vrnew, Term: c.term, Part: part})
-	if err := c.waitAcks(c.ackVR, ackKey{part, vrnew}, ReadVersionMsg{NewVR: vrnew, Term: c.term, Part: part}); err != nil {
-		return interrupted(err)
-	}
-	if err := c.phaseDone(part, 3); err != nil {
-		return interrupted(err)
-	}
-	rep.Phase3 = time.Since(t3)
-
-	// Phase 4: wait for queries on vrold to terminate, then garbage
-	// collect.
-	t4 := time.Now()
-	c.enterPhase(part, 4)
-	var lag4 int64
-	var err error
-	rep.SweepsPhase4, lag4, err = c.pollQuiescence(part, vrold)
-	if err != nil {
-		return interrupted(err)
-	}
-	if err := c.phaseDone(part, 4); err != nil {
-		return interrupted(err)
-	}
-	if lag4 > rep.MaxCounterLag {
-		rep.MaxCounterLag = lag4
-	}
-	if err := pace.step(func() error {
-		c.broadcast(GCMsg{Keep: vrnew, Term: c.term, Part: part})
-		return c.waitAcks(c.ackGC, ackKey{part, vrnew}, GCMsg{Keep: vrnew, Term: c.term, Part: part})
-	}); err != nil {
-		return interrupted(err)
-	}
-	rep.Phase4 = time.Since(t4)
-
-	c.setVersions(part, vunew, vrnew)
-	c.enterPhase(part, 0)
-	rep.Total = time.Since(start)
 
 	c.reg.ObserveAdvance(
 		[4]time.Duration{rep.Phase1, rep.Phase2, rep.Phase3, rep.Phase4},
 		rep.Total, rep.SweepsPhase2+rep.SweepsPhase4)
 	if part == 0 {
-		c.reg.SetGauge(obs.GaugeVersionRead, float64(vrnew))
-		c.reg.SetGauge(obs.GaugeVersionUpdate, float64(vunew))
+		c.reg.SetGauge(obs.GaugeVersionRead, float64(rep.NewVR))
+		c.reg.SetGauge(obs.GaugeVersionUpdate, float64(rep.NewVU))
 	}
 	if c.nparts > 1 {
-		c.reg.SetGauge(obs.PartitionVersionGauge(part), float64(vrnew))
+		c.reg.SetGauge(obs.PartitionVersionGauge(part), float64(rep.NewVR))
 	}
-	c.reg.DropPartLagsBelow(part, int64(vrnew))
-	c.reg.RecordEvent(obs.Event{Kind: obs.EvVersionSwitch, Version: int64(vunew),
-		Detail: fmt.Sprintf("part=%d vr=%d vu=%d sweeps=%d/%d", part, vrnew, vunew, rep.SweepsPhase2, rep.SweepsPhase4)})
-	c.traceSweep(rep, start, t1, t2, t3, t4)
+	c.reg.DropPartLagsBelow(part, int64(rep.NewVR))
+	c.reg.RecordEvent(obs.Event{Kind: obs.EvVersionSwitch, Version: int64(rep.NewVU),
+		Detail: fmt.Sprintf("part=%d vr=%d vu=%d sweeps=%d/%d", part, rep.NewVR, rep.NewVU, rep.SweepsPhase2, rep.SweepsPhase4)})
+	c.traceSweep(rep, start, began)
 
 	c.histMu.Lock()
 	c.history = append(c.history, rep)
 	c.histMu.Unlock()
 	return rep
+}
+
+// cycle drives one partition through the four phases of Section 4.3
+// toward the pair (rep.NewVR, rep.NewVU), starting at phase from: 1, or
+// 4 when every node already holds the pair and only the old read
+// version's drain and garbage collection remain. A sweep, a successor's
+// Recover and the catch-up before a sweep all come here; every phase is
+// an idempotent max-merge, so re-driving one the nodes already applied
+// is harmless. The chaos hook fires as each phase completes, and the
+// steps that load every node take turns through pace. On success the
+// pair is installed. It fills rep's phase durations, sweep counts and
+// lag, and returns when each phase began (indexed by phase).
+func (c *Coordinator) cycle(part, from int, pace *sweepPacer, rep *AdvanceReport) (began [5]time.Time, err error) {
+	defer c.enterPhase(part, 0)
+	vu, vr := rep.NewVU, rep.NewVR
+	// phase runs phase p's sends and waits, then fires the hook; its
+	// duration is taken after the hook returns.
+	phase := func(p int, dur *time.Duration, run func() error) error {
+		began[p] = time.Now()
+		c.enterPhase(part, p)
+		if err := run(); err != nil {
+			return err
+		}
+		if err := c.phaseDone(part, p); err != nil {
+			return err
+		}
+		*dur = time.Since(began[p])
+		return nil
+	}
+	// quiesce waits for version v's transactions to terminate.
+	quiesce := func(v model.Version, sweeps *int) func() error {
+		return func() error {
+			n, lag, err := c.pollQuiescence(part, v)
+			*sweeps += n
+			rep.MaxCounterLag = max(rep.MaxCounterLag, lag)
+			return err
+		}
+	}
+	notify := func(k ackKey, payload any) func() error {
+		return func() error {
+			_, err := await(c, c.acks, k, payload)
+			return err
+		}
+	}
+
+	if from == 1 {
+		if err := pace.step(func() error {
+			// Phase 1: switch to the new update version. Phase 2: updates
+			// phase-out, until the outgoing update version has drained.
+			if err := phase(1, &rep.Phase1, notify(ackKey{1, part, vu}, StartAdvancementMsg{NewVU: vu, Term: c.term, Part: part})); err != nil {
+				return err
+			}
+			return phase(2, &rep.Phase2, quiesce(vu-1, &rep.SweepsPhase2))
+		}); err != nil {
+			return began, err
+		}
+		// Phase 3: switch to the new read version.
+		if err := phase(3, &rep.Phase3, notify(ackKey{3, part, vr}, ReadVersionMsg{NewVR: vr, Term: c.term, Part: part})); err != nil {
+			return began, err
+		}
+	}
+	// Phase 4: wait for queries on the old read version to terminate,
+	// then garbage-collect below the new one.
+	if err := phase(4, &rep.Phase4, quiesce(vr-1, &rep.SweepsPhase4)); err != nil {
+		return began, err
+	}
+	if err := pace.step(notify(ackKey{4, part, vr}, GCMsg{Keep: vr, Term: c.term, Part: part})); err != nil {
+		return began, err
+	}
+	rep.Phase4 = time.Since(began[4])
+	c.setVersions(part, vu, vr)
+	return began, nil
 }
 
 // traceSweep records a trace of one completed advancement cycle: a root
@@ -517,7 +509,7 @@ func (c *Coordinator) runSweep(part int, pace *sweepPacer) AdvanceReport {
 // set bit 63, disjoint from both transaction trace ids (bits 62 and 63
 // clear) and minted subtransaction span ids (bit 62), so the three id
 // spaces can share one ring without collision.
-func (c *Coordinator) traceSweep(rep AdvanceReport, start, t1, t2, t3, t4 time.Time) {
+func (c *Coordinator) traceSweep(rep AdvanceReport, start time.Time, began [5]time.Time) {
 	if !c.reg.TraceEnabled() {
 		return
 	}
@@ -535,23 +527,16 @@ func (c *Coordinator) traceSweep(rep AdvanceReport, start, t1, t2, t3, t4 time.T
 		dur   time.Duration
 		attr  string
 	}{
-		{"phase1_switch_vu", t1, rep.Phase1, fmt.Sprintf("vu=%d", rep.NewVU)},
-		{"phase2_quiesce_updates", t2, rep.Phase2, fmt.Sprintf("sweeps=%d", rep.SweepsPhase2)},
-		{"phase3_switch_vr", t3, rep.Phase3, fmt.Sprintf("vr=%d", rep.NewVR)},
-		{"phase4_quiesce_queries_gc", t4, end.Sub(t4), fmt.Sprintf("sweeps=%d keep=%d", rep.SweepsPhase4, rep.NewVR)},
+		{"phase1_switch_vu", began[1], rep.Phase1, fmt.Sprintf("vu=%d", rep.NewVU)},
+		{"phase2_quiesce_updates", began[2], rep.Phase2, fmt.Sprintf("sweeps=%d", rep.SweepsPhase2)},
+		{"phase3_switch_vr", began[3], rep.Phase3, fmt.Sprintf("vr=%d", rep.NewVR)},
+		{"phase4_quiesce_queries_gc", began[4], end.Sub(began[4]), fmt.Sprintf("sweeps=%d keep=%d", rep.SweepsPhase4, rep.NewVR)},
 	}
 	for _, p := range phases {
 		c.reg.RecordSpan(obs.Span{
 			TraceID: traceID, SpanID: c.reg.NextSpanID(c.n), ParentID: traceID,
 			Name: p.name, Node: c.n, Start: p.start.UnixNano(), Dur: int64(p.dur), Attr: p.attr,
 		})
-	}
-}
-
-// broadcast sends the payload to every database node.
-func (c *Coordinator) broadcast(payload any) {
-	for i := 0; i < c.n; i++ {
-		c.net.Send(transport.Message{From: c.id, To: model.NodeID(i), Payload: payload})
 	}
 }
 
@@ -608,13 +593,6 @@ func (c *Coordinator) setPhaseHook(h func(part, phase int)) {
 	c.mu.Lock()
 	c.phaseHook = h
 	c.mu.Unlock()
-}
-
-// getPhaseHook returns the installed chaos hook (takeover inheritance).
-func (c *Coordinator) getPhaseHook() func(part, phase int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.phaseHook
 }
 
 // enterPhase records the advancement phase now executing on one
@@ -675,61 +653,57 @@ func (c *Coordinator) waitKick(d time.Duration) {
 	t.Stop()
 }
 
-// kickInterval is the wake granularity for a bounded wait: the resend
-// interval when re-broadcast is enabled, else a fraction of the
-// timeout, else "block until signalled".
-func (c *Coordinator) kickInterval() time.Duration {
-	if c.resend > 0 {
-		return c.resend
+// await is the coordinator's one way of talking to the nodes: it sends
+// payload to every node and blocks until each one's answer is in
+// reg[k], then removes and returns those answers. With resend set it
+// re-sends the payload every resend interval to the nodes still missing
+// (every notice and request is idempotent, so duplicates are harmless);
+// it gives up with ErrTimeout after ackTimeout instead of wedging on a
+// lost message or a dead node, and unwinds as soon as the coordinator
+// is crashed, deposed or closed. Between resends it wakes at the resend
+// interval, else at a quarter of the timeout, else only when signalled.
+func await[K comparable, T any](c *Coordinator, reg map[K]map[model.NodeID]T, k K, payload any) (map[model.NodeID]T, error) {
+	for i := 0; i < c.n; i++ {
+		c.net.Send(transport.Message{From: c.id, To: model.NodeID(i), Payload: payload})
 	}
-	if c.ackTimeout > 0 {
-		return c.ackTimeout / 4
-	}
-	return 0
-}
-
-// deadlineAfter returns the wait deadline implied by ackTimeout (zero
-// time = none).
-func (c *Coordinator) deadlineAfter(start time.Time) time.Time {
-	if c.ackTimeout <= 0 {
-		return time.Time{}
-	}
-	return start.Add(c.ackTimeout)
-}
-
-// waitAcks blocks until every node has acknowledged version v in the
-// given ack registry, then clears the entry. When resend is configured
-// the payload is periodically re-sent to the nodes still missing (all
-// advancement notices are idempotent, so duplicates are harmless);
-// when ackTimeout is configured the wait gives up with ErrTimeout
-// instead of wedging on a lost message or a dead node.
-func (c *Coordinator) waitAcks(reg map[ackKey]map[model.NodeID]bool, k ackKey, payload any) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := time.Now()
-	deadline := c.deadlineAfter(start)
 	nextResend := start.Add(c.resend)
+	kick := c.resend
+	if kick <= 0 {
+		kick = c.ackTimeout / 4
+	}
 	for len(reg[k]) < c.n {
 		if err := c.abortErrLocked(); err != nil {
-			return err
+			return nil, err
 		}
 		now := time.Now()
-		if !deadline.IsZero() && now.After(deadline) {
-			return ErrTimeout
+		if c.ackTimeout > 0 && now.Sub(start) > c.ackTimeout {
+			return nil, ErrTimeout
 		}
 		if c.resend > 0 && now.After(nextResend) {
 			for i := 0; i < c.n; i++ {
-				if !reg[k][model.NodeID(i)] {
+				if _, ok := reg[k][model.NodeID(i)]; !ok {
 					c.net.Send(transport.Message{From: c.id, To: model.NodeID(i), Payload: payload})
 					c.reg.Inc(obs.CtrCoordResends, 1)
 				}
 			}
 			nextResend = now.Add(c.resend)
 		}
-		c.waitKick(c.kickInterval())
+		c.waitKick(kick)
 	}
+	got := reg[k]
 	delete(reg, k)
-	return nil
+	return got, nil
+}
+
+// nextRound allocates a round number for a counter or probe request.
+func (c *Coordinator) nextRound() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.round++
+	return c.round
 }
 
 // pollQuiescence repeatedly sweeps the cluster's counters for version v
@@ -743,50 +717,19 @@ func (c *Coordinator) waitAcks(reg map[ackKey]map[model.NodeID]bool, k ackKey, p
 func (c *Coordinator) pollQuiescence(part int, v model.Version) (sweeps int, maxLag int64, err error) {
 	det := &counters.Detector{}
 	for {
-		c.mu.Lock()
-		c.round++
-		round := c.round
-		c.mu.Unlock()
-
+		round := c.nextRound()
 		var req any = CounterReqMsg{Version: v, Round: round, Term: c.term, Part: part}
 		if c.batchedCounters {
 			req = CountersReqMsg{Versions: []model.Version{v}, Round: round, Term: c.term, Part: part}
 		}
-		c.broadcast(req)
-
-		c.mu.Lock()
-		start := time.Now()
-		deadline := c.deadlineAfter(start)
-		nextResend := start.Add(c.resend)
-		for len(c.replies[round]) < c.n {
-			if werr := c.abortErrLocked(); werr != nil {
-				c.mu.Unlock()
-				return det.Sweeps(), maxLag, werr
-			}
-			now := time.Now()
-			if !deadline.IsZero() && now.After(deadline) {
-				c.mu.Unlock()
-				return det.Sweeps(), maxLag, ErrTimeout
-			}
-			if c.resend > 0 && now.After(nextResend) {
-				// Re-ask the nodes that have not answered this round
-				// (the request or the reply was lost).
-				for i := 0; i < c.n; i++ {
-					if _, ok := c.replies[round][model.NodeID(i)]; !ok {
-						c.net.Send(transport.Message{From: c.id, To: model.NodeID(i), Payload: req})
-						c.reg.Inc(obs.CtrCoordResends, 1)
-					}
-				}
-				nextResend = now.Add(c.resend)
-			}
-			c.waitKick(c.kickInterval())
+		got, err := await(c, c.replies, round, req)
+		if err != nil {
+			return det.Sweeps(), maxLag, err
 		}
 		snap := counters.NewSnapshot(c.n)
-		for node, rep := range c.replies[round] {
+		for node, rep := range got {
 			snap.SetFromNode(node, rep.R, rep.C)
 		}
-		delete(c.replies, round)
-		c.mu.Unlock()
 
 		lag := lagOf(snap)
 		if lag.SumLag > maxLag {

@@ -222,21 +222,8 @@ func (m *FailoverManager) takeover() *Coordinator {
 		m.mu.Unlock()
 		return nil
 	}
-	maxSeen := m.term
-	if t := m.node.coordTerm.Load(); t > maxSeen {
-		maxSeen = t
-	}
-	term := nextTerm(maxSeen, m.node.id, m.c.cfg.Nodes)
-	cfg := &m.c.cfg
-	co := newCoordinator(cfg.Nodes, m.c.nparts, m.c.net, cfg.PollInterval, cfg.AckTimeout, cfg.ResendInterval, m.c.reg)
-	co.id = m.ep
-	co.term = term
-	co.batchedCounters = cfg.BatchedCounters
-	co.phaseHook = m.c.getPhaseHook()
-	m.term = term
-	m.coord = co
-	m.active = true
-	m.lastBeat = time.Now()
+	co := m.claimLocked()
+	term := co.term
 	m.wg.Add(1)
 	m.mu.Unlock()
 
@@ -334,20 +321,21 @@ func (m *FailoverManager) snapshot() (active bool, term uint64) {
 // rejoining as active cannot reuse a fenced term.
 func (m *FailoverManager) promoteInitial() {
 	m.mu.Lock()
-	maxSeen := m.node.coordTerm.Load()
-	term := nextTerm(maxSeen, m.node.id, m.c.cfg.Nodes)
-	cfg := &m.c.cfg
-	co := newCoordinator(cfg.Nodes, m.c.nparts, m.c.net, cfg.PollInterval, cfg.AckTimeout, cfg.ResendInterval, m.c.reg)
-	co.id = m.ep
-	co.term = term
-	co.batchedCounters = cfg.BatchedCounters
-	m.term = term
-	m.coord = co
-	m.active = true
-	m.lastBeat = time.Now()
+	co := m.claimLocked()
 	m.mu.Unlock()
-	m.node.observeTermAll(term)
+	m.node.observeTermAll(co.term)
 	m.c.reg.SetGauge(obs.GaugeCoordActive, 1)
+}
+
+// claimLocked makes this manager active, hosting a fresh coordinator
+// under a term above every term it has seen or its node has journaled.
+// The coordinator inherits the cluster's chaos hook (SetPhaseHook).
+// Callers hold m.mu.
+func (m *FailoverManager) claimLocked() *Coordinator {
+	term := nextTerm(max(m.term, m.node.coordTerm.Load()), m.node.id, m.c.cfg.Nodes)
+	co := m.c.coordinatorAt(m.ep, term, m.c.getPhaseHook())
+	m.term, m.coord, m.active, m.lastBeat = term, co, true, time.Now()
+	return co
 }
 
 // itoa is strconv.Itoa for uint64 without pulling fmt into the hot path.

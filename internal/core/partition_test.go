@@ -406,3 +406,20 @@ func TestAdvanceOnSilentNodesTimesOutOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestInterruptedSweepReportsItsPartition: a sweep that fails at its
+// first paced step — here the version probe of a crashed coordinator —
+// still names the partition it was asked to advance.
+func TestInterruptedSweepReportsItsPartition(t *testing.T) {
+	c, _ := newPartitionTestCluster(t, Config{Nodes: 2, Partitions: 2, ResendInterval: 5 * time.Millisecond, AckTimeout: 10 * time.Second})
+	c.Start()
+	defer c.Close()
+	if rep := c.Advance(); rep.Interrupted {
+		t.Fatal(rep.Err)
+	}
+	old := c.Coordinator()
+	c.CrashCoordinator()
+	if rep := old.RunAdvancementPart(1); rep.Part != 1 || !errors.Is(rep.Err, ErrCrashed) {
+		t.Fatalf("crashed coordinator's sweep of partition 1 reported part %d, err %v; want part 1, ErrCrashed", rep.Part, rep.Err)
+	}
+}

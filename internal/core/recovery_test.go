@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -237,5 +238,122 @@ func TestCrashedCoordinatorReportsInterrupted(t *testing.T) {
 	rep := c.Advance()
 	if rep.Interrupted || rep.NewVR != 1 {
 		t.Errorf("advancement after idle crash: %+v", rep)
+	}
+}
+
+func TestResumePoint(t *testing.T) {
+	view := func(vr, vu model.Version, below bool) VersionReplyMsg {
+		return VersionReplyMsg{VR: vr, VU: vu, BelowVR: below}
+	}
+	for _, tc := range []struct {
+		name      string
+		views     []VersionReplyMsg
+		installed model.Version // the coordinator's installed update version
+		from      int
+		vu        model.Version
+	}{
+		{"fresh cluster", []VersionReplyMsg{view(0, 1, false), view(0, 1, false)}, 1, 0, 1},
+		{"clean pair", []VersionReplyMsg{view(1, 2, false), view(1, 2, false), view(1, 2, false)}, 1, 0, 2},
+		{"clean pair, GC pending on one node", []VersionReplyMsg{view(1, 2, false), view(1, 2, true), view(1, 2, false)}, 1, 4, 2},
+		{"vu = vr+2 on one node", []VersionReplyMsg{view(1, 2, false), view(1, 3, false), view(1, 2, false)}, 1, 1, 3},
+		{"vu = vr+2 everywhere", []VersionReplyMsg{view(1, 3, false), view(1, 3, false)}, 2, 1, 3},
+		{"mixed pairs", []VersionReplyMsg{view(2, 3, true), view(1, 3, true), view(1, 2, false)}, 1, 1, 3},
+		{"one node a full version behind", []VersionReplyMsg{view(2, 3, false), view(1, 2, false), view(2, 3, false)}, 3, 1, 3},
+		{"every node behind the installed pair", []VersionReplyMsg{view(1, 2, false), view(1, 2, false)}, 3, 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			views := make(map[model.NodeID]VersionReplyMsg, len(tc.views))
+			for i, v := range tc.views {
+				views[model.NodeID(i)] = v
+			}
+			if from, vu := resumePoint(views, tc.installed); from != tc.from || vu != tc.vu {
+				t.Errorf("resumePoint = (from %d, vu %d), want (from %d, vu %d)", from, vu, tc.from, tc.vu)
+			}
+		})
+	}
+}
+
+// TestLaggingNodeCaughtUpBeforeNextCycle holds one node a full version
+// behind the installed pair, as a restart from a checkpoint older than
+// the last completed cycle would, and requires the probe before the
+// next sweep to finish that cycle on it — all four phases, through the
+// same runner — before the new cycle's phase 1.
+func TestLaggingNodeCaughtUpBeforeNextCycle(t *testing.T) {
+	c := newTestCluster(t, Config{ResendInterval: 5 * time.Millisecond, AckTimeout: 10 * time.Second})
+	if rep := c.Advance(); rep.Interrupted {
+		t.Fatal(rep.Err)
+	}
+	lagging := c.Node(2)
+	lagging.verMu.Lock()
+	lagging.pv[0] = verPair{vr: 0, vu: 1}
+	lagging.verMu.Unlock()
+
+	type seen struct {
+		phase  int
+		vr, vu model.Version
+	}
+	var hooks []seen
+	c.SetPhaseHook(func(phase int) {
+		vr, vu := lagging.Versions()
+		hooks = append(hooks, seen{phase, vr, vu})
+	})
+	if rep := c.Advance(); rep.Interrupted || rep.NewVR != 2 || rep.NewVU != 3 {
+		t.Fatalf("sweep after the lag: %+v", rep)
+	}
+	want := []seen{{1, 0, 2}, {2, 0, 2}, {3, 1, 2}, {4, 1, 2}, {1, 1, 3}, {2, 1, 3}, {3, 2, 3}, {4, 2, 3}}
+	if !slices.Equal(hooks, want) {
+		t.Errorf("phases completed as (phase, lagging node's vr, vu) = %v, want %v: the catch-up cycle, then the new one", hooks, want)
+	}
+	if vio := c.Violations(); vio != nil {
+		t.Errorf("violations: %v", vio)
+	}
+}
+
+// TestProbeResendsCounted drops the first version probe to every node:
+// Recover's re-sends repair the loss through the same wait loop as
+// every phase notice and counter request, and are counted as such.
+func TestProbeResendsCounted(t *testing.T) {
+	script := transport.NewScript(4)
+	c, err := NewCluster(Config{Nodes: 3, Transport: script, SyncExec: true, ResendInterval: 2 * time.Millisecond, AckTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Close()
+	fresh := c.CrashCoordinator()
+	done := make(chan error, 1)
+	go func() {
+		_, err := fresh.Recover()
+		done <- err
+	}()
+	isProbe := func(m transport.Message) bool { _, ok := m.Payload.(VersionProbeMsg); return ok }
+	deadline := time.Now().Add(5 * time.Second)
+	for drops := 0; drops < 3; {
+		if script.DropWhere(isProbe) {
+			drops++
+			continue
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first probes never appeared")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := c.Obs().Snapshot().Counters["coord_resends"]; n < 3 {
+				t.Fatalf("coord_resends = %d after three dropped probes were repaired", n)
+			}
+			return
+		default:
+			script.DeliverAll()
+			if time.Now().After(deadline) {
+				t.Fatal("Recover never completed")
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
