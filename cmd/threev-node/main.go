@@ -632,11 +632,11 @@ func run(id, nodes int, coordRole string, leaseInterval, leaseTimeout time.Durat
 		LocalNodes:       []int{id},
 		LocalCoordinator: startActive,
 		Failover:         true,
-		FailoverConfig: core.FailoverConfig{
+		FailoverConfig: core.LeaseConfig{
 			LeaseInterval: leaseInterval,
 			LeaseTimeout:  leaseTimeout,
-			OnRoleChange: func(active bool, term uint64) {
-				if active {
+			OnRoleChange: func(_ int, holder model.NodeID, term uint64) {
+				if holder == model.NodeID(id) {
 					logger.Warn("coordinator takeover", "id", id, "term", term)
 				} else {
 					logger.Warn("coordinator demoted", "id", id, "term", term)
@@ -666,7 +666,7 @@ func run(id, nodes int, coordRole string, leaseInterval, leaseTimeout time.Durat
 			replLeaseInterval = leaseInterval
 		}
 		cfg.Replicate = true
-		cfg.ReplicaConfig = core.ReplicaConfig{
+		cfg.ReplicaConfig = core.LeaseConfig{
 			LeaseInterval: replLeaseInterval,
 			LeaseTimeout:  replLeaseTimeout,
 			OnRoleChange: func(part int, primary model.NodeID, term uint64) {

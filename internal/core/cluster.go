@@ -104,9 +104,9 @@ type Config struct {
 	// 0's manager active; distributed processes start active only with
 	// LocalCoordinator set.
 	Failover bool
-	// FailoverConfig tunes the lease when Failover is set; the zero
-	// value selects defaults.
-	FailoverConfig FailoverConfig
+	// FailoverConfig tunes the coordinator lease when Failover is set;
+	// the zero value selects defaults.
+	FailoverConfig LeaseConfig
 	// Replicate makes partition owner groups real (see replication.go):
 	// the primary of each partition streams every applied commuting
 	// effect set to the other owners in pmap.OwnerSet(part), backups
@@ -118,8 +118,9 @@ type Config struct {
 	// least two members (Nodes >= 2).
 	Replicate bool
 	// ReplicaConfig tunes the replication lease when Replicate is set;
-	// the zero value selects defaults.
-	ReplicaConfig ReplicaConfig
+	// the zero value selects defaults. It is a separate lease from the
+	// coordinator's, with its own term space.
+	ReplicaConfig LeaseConfig
 	// ExecChunk batches the receive side of the hot path: each node
 	// worker wakeup drains up to ExecChunk queued subtransactions and
 	// executes them as one chunk — one checkpoint hold, and (with a
@@ -174,9 +175,10 @@ type Cluster struct {
 	coordMu sync.RWMutex
 	coord   *Coordinator
 
-	// fo is non-nil when Config.Failover is set; it replaces the single
-	// pinned coordinator above with per-node managers.
-	fo *failoverSet
+	// fo holds one failover manager per locally hosted node when
+	// Config.Failover is set; they replace the single pinned
+	// coordinator above.
+	fo []*FailoverManager
 
 	// repl holds one replicator per locally hosted node when
 	// Config.Replicate is set (aligned with nodes; nil entries for
@@ -304,25 +306,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			if r.Store != nil {
 				nd.store = r.Store
 			}
-			// Per-partition recovered state when present; the legacy
-			// single-partition fields describe partition 0 otherwise.
-			if r.PartCounters != nil {
-				for p, t := range r.PartCounters {
-					if p < nparts && t != nil {
-						nd.cnts[p] = t
-					}
-				}
-			} else if r.Counters != nil {
-				nd.cnts[0] = r.Counters
-			}
-			if r.PartVU != nil {
-				for p, vu := range r.PartVU {
-					if p < nparts && vu != 0 {
-						nd.pv[p] = verPair{vu: vu, vr: r.PartVR[p]}
-					}
-				}
-			} else if r.VU != 0 {
-				nd.pv[0] = verPair{vu: r.VU, vr: r.VR}
+			for p := 0; p < nparts && p < len(r.PartVU); p++ {
+				nd.pv[p] = verPair{vu: r.PartVU[p], vr: r.PartVR[p]}
+				nd.cnts[p] = r.PartCounters[p]
 			}
 			nd.seedTerm(r.CoordTerm)
 			nd.seedRepl(r.ReplTerms, r.ReplSeqs, r.ReplApplied)
@@ -331,13 +317,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.net.Register(nd.id, nd.handleMessage)
 	}
 	if cfg.Replicate {
-		rc := cfg.ReplicaConfig.withDefaults()
 		c.repl = make([]*replicator, cfg.Nodes)
 		for i, nd := range c.nodes {
 			if nd == nil {
 				continue
 			}
-			r := newReplicator(c, nd, rc)
+			r := newReplicator(c, nd)
 			nd.replicate = true
 			nd.onReplBeat = r.noteBeat
 			nd.onReplAck = r.noteAck
@@ -345,17 +330,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	if cfg.Failover {
-		fc := cfg.FailoverConfig.withDefaults()
-		c.fo = &failoverSet{}
 		for i := 0; i < cfg.Nodes; i++ {
 			nd := c.nodes[i]
 			if nd == nil {
 				continue
 			}
-			m := newFailoverManager(c, nd, fc)
+			m := newFailoverManager(c, nd)
 			nd.onCoordState = m.noteBeat
 			c.net.Register(m.ep, m.handleEndpoint)
-			c.fo.managers = append(c.fo.managers, m)
+			c.fo = append(c.fo, m)
 			if (!c.distributed && i == 0) || (c.distributed && cfg.LocalCoordinator) {
 				m.promoteInitial()
 			}
@@ -402,8 +385,8 @@ func (c *Cluster) Start() {
 	}
 	c.net.Start()
 	if c.fo != nil {
-		for _, m := range c.fo.managers {
-			m.start()
+		for _, m := range c.fo {
+			m.lease.start(m.tick)
 		}
 	}
 	for _, r := range c.repl {
@@ -423,14 +406,14 @@ func (c *Cluster) Close() {
 	}
 	for _, r := range c.repl {
 		if r != nil {
-			r.stop()
+			r.lease.stop()
 		}
 	}
 	if c.fo != nil {
 		// Stop every manager first: this unwinds any in-flight takeover
 		// (its Recover returns ErrClosed) and blocks until its goroutines
 		// exit, so Close can never race an election into a half-run sweep.
-		for _, m := range c.fo.managers {
+		for _, m := range c.fo {
 			m.stop()
 		}
 	} else if coord := c.currentCoordinator(); coord != nil {
@@ -480,8 +463,7 @@ func (c *Cluster) localReplicator() *replicator {
 // promoted owner. Without Replicate it is always the placement primary.
 func (c *Cluster) CurrentPrimary(part int) model.NodeID {
 	if r := c.localReplicator(); r != nil {
-		p, _ := r.currentPrimary(part)
-		return p
+		return r.currentPrimary(part)
 	}
 	return c.pmap.Primary(part)
 }
@@ -593,12 +575,9 @@ func (c *Cluster) currentCoordinator() *Coordinator {
 // near-simultaneous takeovers before the lower term's coordinator is
 // fenced and demoted — so the highest term wins routing.
 func (c *Cluster) activeManager() *FailoverManager {
-	if c.fo == nil {
-		return nil
-	}
 	var best *FailoverManager
 	var bestTerm uint64
-	for _, m := range c.fo.managers {
+	for _, m := range c.fo {
 		if active, term := m.snapshot(); active && (best == nil || term > bestTerm) {
 			best, bestTerm = m, term
 		}
@@ -608,12 +587,7 @@ func (c *Cluster) activeManager() *FailoverManager {
 
 // FailoverManagers returns the local managers (tests, chaos harness);
 // nil unless Config.Failover.
-func (c *Cluster) FailoverManagers() []*FailoverManager {
-	if c.fo == nil {
-		return nil
-	}
-	return c.fo.managers
-}
+func (c *Cluster) FailoverManagers() []*FailoverManager { return c.fo }
 
 // CoordinatorStatus reports whether this process currently hosts the
 // active advancement coordinator and the highest fencing term observed
@@ -622,7 +596,7 @@ func (c *Cluster) CoordinatorStatus() (active bool, term uint64) {
 	if c.fo == nil {
 		return c.currentCoordinator() != nil, 0
 	}
-	for _, m := range c.fo.managers {
+	for _, m := range c.fo {
 		a, t := m.snapshot()
 		if a {
 			active = true
@@ -667,7 +641,7 @@ func (c *Cluster) SetPartPhaseHook(h func(part, phase int)) {
 	c.phaseHook = h
 	c.hookMu.Unlock()
 	if c.fo != nil {
-		for _, m := range c.fo.managers {
+		for _, m := range c.fo {
 			m.mu.Lock()
 			co := m.coord
 			m.mu.Unlock()
@@ -953,7 +927,7 @@ func (c *Cluster) onDone(txn model.TxnID, node model.NodeID, reads []model.ReadR
 		// the handle; the root's termination is the completion edge.
 		return
 	}
-	completed := h.reportDone(node, reads, aborted)
+	completed := h.reportDone(node, reads, aborted, &c.updatesDone)
 	if completed && c.reg != nil {
 		status := h.Status()
 		total := h.Latency()
@@ -973,9 +947,6 @@ func (c *Cluster) onDone(txn model.TxnID, node model.NodeID, reads []model.ReadR
 		// root-only span.
 		c.reg.TraceTxnDone(uint64(txn), int(node), h.tc.Sampled(), h.submitted, total,
 			txn.String()+" "+status.String())
-	}
-	if h.Status() == StatusCommitted && h.isUpdate && h.markCounted() {
-		c.updatesDone.Add(1)
 	}
 	if h.Status() != StatusPending && h.takeUnlock() {
 		// Asynchronous clean-up phase (Section 5): release the commute

@@ -356,6 +356,26 @@ func TestNewClusterRejectsIncompatibleConfigs(t *testing.T) {
 	}
 }
 
+// TestCommittedUpdatesCountedBeforeWait is the regression loop for a
+// commit counted only after its handle completed: a caller that
+// returned from Wait could read CommittedUpdates one low.
+func TestCommittedUpdatesCountedBeforeWait(t *testing.T) {
+	c := newTestCluster(t, Config{})
+	keys := []string{"A", "D", "F"}
+	for i := 1; i <= 5000; i++ {
+		h, err := c.Submit(&model.TxnSpec{Root: &model.SubtxnSpec{
+			Node: model.NodeID(i % 3), Updates: []model.KeyOp{addOp(keys[i%3], 1)},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Wait()
+		if got := c.CommittedUpdates(); got != int64(i) {
+			t.Fatalf("iteration %d: CommittedUpdates = %d right after Wait", i, got)
+		}
+	}
+}
+
 func TestReadSeesConsistentVersionAcrossNodes(t *testing.T) {
 	// The hospital anomaly (Figure 1): a read must never observe a
 	// partial multi-node update. With 3V, reads of version vr only see

@@ -89,7 +89,7 @@ func TestCloseUnwindsRacingTakeover(t *testing.T) {
 	script := transport.NewScript(4) // 2 nodes + 2 coordinator endpoints
 	c, err := NewCluster(Config{
 		Nodes: 2, Transport: script, SyncExec: true, Failover: true,
-		FailoverConfig: FailoverConfig{LeaseInterval: 2 * time.Millisecond, LeaseTimeout: 6 * time.Millisecond},
+		FailoverConfig: LeaseConfig{LeaseInterval: 2 * time.Millisecond, LeaseTimeout: 6 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestOverlappingCoordinatorTermsNeverRegress(t *testing.T) {
 		Failover:       true,
 		ResendInterval: 5 * time.Millisecond,
 		AckTimeout:     30 * time.Second,
-		FailoverConfig: FailoverConfig{
+		FailoverConfig: LeaseConfig{
 			// A long lease keeps elections out of the picture: the only
 			// second coordinator is the one this test starts by hand.
 			LeaseInterval: 20 * time.Millisecond,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -67,10 +68,8 @@ type Handle struct {
 	// once the tree completes. takeUnlock consumes the flag so clean-up
 	// fires exactly once.
 	needsUnlock bool
-	// isUpdate marks update (non-read-only) transactions; counted marks
-	// that the cluster already tallied this handle's commit.
+	// isUpdate marks update (non-read-only) transactions.
 	isUpdate bool
-	counted  bool
 	// rootOnly (distributed mode) completes the handle when the root
 	// subtransaction terminates: descendants may execute in other
 	// processes, whose terminations this process never observes. Spawn
@@ -82,17 +81,6 @@ type Handle struct {
 	// was head-sampled; the zero value means untraced. Immutable after
 	// Submit publishes the handle.
 	tc obs.TraceContext
-}
-
-// markCounted flags the handle as tallied; it returns true at most once.
-func (h *Handle) markCounted() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.counted {
-		return false
-	}
-	h.counted = true
-	return true
 }
 
 // takeUnlock consumes the clean-up obligation; it returns true at most
@@ -129,7 +117,10 @@ func (h *Handle) addExpected(n int) {
 // along with its read results and whether it aborted. It reports
 // whether this call completed the whole tree (true exactly once per
 // handle), which is the edge the cluster's instrumentation keys off.
-func (h *Handle) reportDone(node model.NodeID, reads []model.ReadResult, aborted bool) (completed bool) {
+// When the completed tree is a committed update, commits (if non-nil)
+// is bumped before Done closes, so a caller returning from Wait never
+// reads the count low.
+func (h *Handle) reportDone(node model.NodeID, reads []model.ReadResult, aborted bool, commits *atomic.Int64) (completed bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.done++
@@ -139,7 +130,7 @@ func (h *Handle) reportDone(node model.NodeID, reads []model.ReadResult, aborted
 		h.aborts++
 	}
 	wasClosed := h.closed
-	h.maybeComplete()
+	h.maybeComplete(commits)
 	return h.closed && !wasClosed
 }
 
@@ -158,10 +149,13 @@ func (h *Handle) reportNCAbort() {
 	h.ncAborted = true
 }
 
-func (h *Handle) maybeComplete() {
+func (h *Handle) maybeComplete(commits *atomic.Int64) {
 	if !h.closed && h.expected > 0 && h.done == h.expected {
 		h.closed = true
 		h.finished = time.Now()
+		if commits != nil && h.isUpdate && !h.ncAborted && h.aborts == 0 {
+			commits.Add(1)
+		}
 		close(h.completed)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ func TestHandleLifecycle(t *testing.T) {
 	}
 	h.addExpected(2)
 	h.reportVersion(3)
-	h.reportDone(1, []model.ReadResult{{Key: "a"}}, false)
+	h.reportDone(1, []model.ReadResult{{Key: "a"}}, false, nil)
 	if h.Status() != StatusPending {
 		t.Fatal("handle completed early")
 	}
@@ -30,7 +31,7 @@ func TestHandleLifecycle(t *testing.T) {
 		t.Fatal("Done closed early")
 	default:
 	}
-	h.reportDone(0, nil, false)
+	h.reportDone(0, nil, false, nil)
 	select {
 	case <-h.Done():
 	case <-time.After(time.Second):
@@ -56,26 +57,41 @@ func TestHandleLifecycle(t *testing.T) {
 func TestHandleAbortStatuses(t *testing.T) {
 	h := newHandle(model.MakeTxnID(0, 2))
 	h.addExpected(1)
-	h.reportDone(0, nil, true)
+	h.reportDone(0, nil, true, nil)
 	if h.Status() != StatusCompensated {
 		t.Errorf("status = %v, want compensated", h.Status())
 	}
 	h2 := newHandle(model.MakeTxnID(0, 3))
 	h2.addExpected(1)
 	h2.reportNCAbort()
-	h2.reportDone(0, nil, true)
+	h2.reportDone(0, nil, true, nil)
 	if h2.Status() != StatusAborted {
 		t.Errorf("status = %v, want aborted", h2.Status())
 	}
 }
 
-func TestHandleMarkCountedOnce(t *testing.T) {
+func TestHandleCountsCommitBeforeDone(t *testing.T) {
+	// A committed update is counted exactly once, by the time Done is
+	// closed; a compensated update and a read-only handle are not.
+	var commits atomic.Int64
 	h := newHandle(model.MakeTxnID(0, 4))
-	if !h.markCounted() {
-		t.Fatal("first markCounted = false")
+	h.isUpdate = true
+	h.addExpected(1)
+	h.reportDone(0, nil, false, &commits)
+	<-h.Done()
+	if got := commits.Load(); got != 1 {
+		t.Fatalf("commits = %d when Done closed, want 1", got)
 	}
-	if h.markCounted() {
-		t.Fatal("second markCounted = true")
+	h.reportDone(0, nil, false, &commits) // a stray report after completion
+	comp := newHandle(model.MakeTxnID(0, 5))
+	comp.isUpdate = true
+	comp.addExpected(1)
+	comp.reportDone(0, nil, true, &commits)
+	ro := newHandle(model.MakeTxnID(0, 6))
+	ro.addExpected(1)
+	ro.reportDone(0, nil, false, &commits)
+	if got := commits.Load(); got != 1 {
+		t.Fatalf("commits = %d, want 1", got)
 	}
 }
 

@@ -160,25 +160,22 @@ type PendingSubtxn struct {
 }
 
 // NodeRestore carries a crashed node's recovered state into NewCluster
-// (distributed mode, single local node). Store and Counters are adopted
-// as-is; Pending is re-enqueued to the worker pool on Start, preserving
-// original enq ids so re-execution journals against the same command.
+// (distributed mode, single local node). Store and counter tables are
+// adopted as-is; Pending is re-enqueued to the worker pool on Start,
+// preserving original enq ids so re-execution journals against the
+// same command.
 type NodeRestore struct {
-	Store    *storage.Store
-	Counters *counters.Table
-	VR, VU   model.Version
-	Pending  []PendingSubtxn
+	Store   *storage.Store
+	Pending []PendingSubtxn
 	// NextEnq seeds the journal's enq-id sequence past every recovered
 	// id (informational here; the journal implementation owns it).
 	NextEnq uint64
 	// CoordTerm is the highest coordinator fencing term the node had
 	// durably observed before the crash (0 when failover never ran).
 	CoordTerm uint64
-	// PartVR/PartVU/PartCounters carry per-partition state when the
-	// deployment runs more than one keyspace partition; index =
-	// partition id, and all three must have length Partitions. When
-	// nil, the legacy VR/VU/Counters fields describe partition 0 (the
-	// only partition).
+	// PartVR/PartVU/PartCounters carry each partition's version pair and
+	// counter table; index = partition id, and all three have length
+	// Partitions (1 when unpartitioned).
 	PartVR, PartVU []model.Version
 	PartCounters   []*counters.Table
 	// ReplTerms/ReplSeqs/ReplApplied carry the replica-group frontiers

@@ -231,13 +231,12 @@ type UnlockMsg struct {
 }
 
 // CoordStateMsg is the active coordinator's lease heartbeat and state
-// mirror, broadcast to every node each FailoverConfig.LeaseInterval.
-// Term is the sender's fencing term; Coord its endpoint id; VR/VU the
-// versions it has installed; Phase the advancement phase in flight
-// (0 = idle, 1–4 mid-sweep). Nodes relay it to their co-located
-// FailoverManager: a fresh heartbeat renews the lease, a missing one
-// eventually triggers a standby takeover, and the mirrored state lets
-// the successor's journal carry the predecessor's term forward.
+// mirror, broadcast to every node each Config.FailoverConfig
+// LeaseInterval. Term is the sender's fencing term; Coord its endpoint
+// id; VR/VU the versions it has installed; Phase the advancement phase
+// in flight (0 = idle, 1–4 mid-sweep). Nodes relay it to their
+// co-located FailoverManager, whose coordinator lease slot it renews
+// (lease.go); a missing one eventually triggers a standby takeover.
 type CoordStateMsg struct {
 	Term  uint64
 	Coord model.NodeID

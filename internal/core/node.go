@@ -497,56 +497,27 @@ func (nd *Node) handleMessage(m transport.Message) {
 			nd.work.put(workItem{from: m.From, sub: p, enqID: enqID, tc: m.TC, recvAt: recvAt})
 		}
 	case StartAdvancementMsg:
-		if !nd.partOK(p.Part) {
-			return
+		if nd.admitPhase(m.From, p.Part, p.Term) {
+			nd.handleStartAdvancement(m.From, p)
 		}
-		if !nd.observeTerm(p.Part, p.Term) {
-			nd.rejectStale(m.From, p.Part)
-			return
-		}
-		nd.handleStartAdvancement(m.From, p)
 	case ReadVersionMsg:
-		if !nd.partOK(p.Part) {
-			return
+		if nd.admitPhase(m.From, p.Part, p.Term) {
+			nd.handleReadVersion(m.From, p)
 		}
-		if !nd.observeTerm(p.Part, p.Term) {
-			nd.rejectStale(m.From, p.Part)
-			return
-		}
-		nd.handleReadVersion(m.From, p)
 	case GCMsg:
-		if !nd.partOK(p.Part) {
-			return
+		if nd.admitPhase(m.From, p.Part, p.Term) {
+			nd.handleGC(m.From, p)
 		}
-		if !nd.observeTerm(p.Part, p.Term) {
-			nd.rejectStale(m.From, p.Part)
-			return
-		}
-		nd.handleGC(m.From, p)
 	case CounterReqMsg:
-		if !nd.partOK(p.Part) {
-			return
+		if nd.admitPhase(m.From, p.Part, p.Term) {
+			nd.handleCounterReq(m.From, p)
 		}
-		if !nd.observeTerm(p.Part, p.Term) {
-			nd.rejectStale(m.From, p.Part)
-			return
-		}
-		nd.handleCounterReq(m.From, p)
 	case CountersReqMsg:
-		if !nd.partOK(p.Part) {
-			return
+		if nd.admitPhase(m.From, p.Part, p.Term) {
+			nd.handleCountersReq(m.From, p)
 		}
-		if !nd.observeTerm(p.Part, p.Term) {
-			nd.rejectStale(m.From, p.Part)
-			return
-		}
-		nd.handleCountersReq(m.From, p)
 	case VersionProbeMsg:
-		if !nd.partOK(p.Part) {
-			return
-		}
-		if !nd.observeTerm(p.Part, p.Term) {
-			nd.rejectStale(m.From, p.Part)
+		if !nd.admitPhase(m.From, p.Part, p.Term) {
 			return
 		}
 		vr, vu := nd.VersionsPart(p.Part)
@@ -595,6 +566,36 @@ func (nd *Node) handleMessage(m transport.Message) {
 	}
 }
 
+// admitPhase is the guard in front of every fenced phase message: the
+// partition index must be in range, and the coordinator's term must not
+// be stale — a stale one is answered with StaleTermMsg. It reports
+// whether the caller may act on the message.
+func (nd *Node) admitPhase(from model.NodeID, part int, term uint64) bool {
+	if !nd.partOK(part) {
+		return false
+	}
+	if !nd.observeTerm(part, term) {
+		nd.rejectStale(from, part)
+		return false
+	}
+	return true
+}
+
+// raiseTerm folds t into a term register (r = max(r, t)). ok is false
+// when t is stale — below the register; raised is true when t moved the
+// register up.
+func raiseTerm(r *atomic.Uint64, t uint64) (raised, ok bool) {
+	for {
+		cur := r.Load()
+		if t <= cur {
+			return false, t == cur
+		}
+		if r.CompareAndSwap(cur, t) {
+			return true, true
+		}
+	}
+}
+
 // observeTerm folds a coordinator fencing term into one partition's
 // register, returning false when t is stale — positive but below a
 // term this partition has already seen — in which case the caller must
@@ -607,19 +608,11 @@ func (nd *Node) observeTerm(part int, t uint64) bool {
 	if t == 0 {
 		return true
 	}
-	for {
-		cur := nd.coordTerms[part].Load()
-		if t < cur {
-			return false
-		}
-		if t == cur {
-			return true
-		}
-		if nd.coordTerms[part].CompareAndSwap(cur, t) {
-			nd.noteTermHigh(t)
-			return true
-		}
+	raised, ok := raiseTerm(&nd.coordTerms[part], t)
+	if raised {
+		nd.noteTermHigh(t)
 	}
+	return ok
 }
 
 // observeTermAll folds a partition-less term (heartbeat, stale-term
@@ -641,18 +634,11 @@ func (nd *Node) observeTermAll(t uint64) bool {
 // noteTermHigh journals and gauges a term that raised any partition's
 // register, deduplicated through the cross-partition high-water mark.
 func (nd *Node) noteTermHigh(t uint64) {
-	for {
-		cur := nd.coordTerm.Load()
-		if t <= cur {
-			return
+	if raised, _ := raiseTerm(&nd.coordTerm, t); raised {
+		if j, ok := nd.journal.(TermJournal); ok {
+			j.CoordTerm(t)
 		}
-		if nd.coordTerm.CompareAndSwap(cur, t) {
-			if j, ok := nd.journal.(TermJournal); ok {
-				j.CoordTerm(t)
-			}
-			nd.reg.SetGauge(obs.GaugeCoordTerm, float64(t))
-			return
-		}
+		nd.reg.SetGauge(obs.GaugeCoordTerm, float64(t))
 	}
 }
 
@@ -676,21 +662,13 @@ func (nd *Node) observeReplTerm(part int, t uint64) bool {
 	if t == 0 {
 		return true
 	}
-	for {
-		cur := nd.replTerms[part].Load()
-		if t < cur {
-			return false
-		}
-		if t == cur {
-			return true
-		}
-		if nd.replTerms[part].CompareAndSwap(cur, t) {
-			if j, ok := nd.journal.(ReplJournal); ok {
-				j.ReplTerm(part, t)
-			}
-			return true
+	raised, ok := raiseTerm(&nd.replTerms[part], t)
+	if raised {
+		if j, jok := nd.journal.(ReplJournal); jok {
+			j.ReplTerm(part, t)
 		}
 	}
+	return ok
 }
 
 // ReplTermPart returns the highest replication lease term this node has

@@ -11,52 +11,23 @@ import (
 )
 
 // This file makes partition owner groups real (Config.Replicate): each
-// locally hosted node runs one replicator that tracks, per partition, a
-// replication lease — who is currently primary and under which term.
+// locally hosted node runs one replicator. Every partition is one slot
+// of the lease primitive (lease.go), with candidate position = the
+// node's index in the partition's OwnerSet; non-owners never claim.
 //
 //   - The primary of a partition streams every applied effect set to
 //     the other owners as ReplicateMsg (emitted from executeSubtxn, so
 //     frames share the Exec durability barrier), and broadcasts empty
-//     ReplicateMsgs as lease heartbeats every LeaseInterval.
-//   - A backup that hears nothing for LeaseTimeout plus an
-//     owner-position stagger (so the next owner in OwnerSet order
-//     deterministically moves first) promotes itself: it mints a term
-//     above everything seen — proposer-partitioned exactly like
-//     coordinator fencing terms, but in a separate register space so a
-//     replica election can never fence off a valid coordinator —
-//     journals it, and starts heartbeating.
+//     ReplicateMsgs as lease heartbeats.
+//   - A backup whose lease lapses promotes itself, journals the new
+//     term in the replication term space (separate from the
+//     coordinator's, so a replica election never fences a valid
+//     coordinator), and starts heartbeating.
 //   - Safety never depends on the lease: commuting ops merge in any
 //     order, and backups apply every stream idempotently (per-sender
 //     seq frontiers) regardless of term. The lease adds read routing
 //     (reads of a dead node's partitions move to the promoted backup
 //     within a bounded window) and bounds dual-primary windows.
-
-// ReplicaConfig tunes per-partition replica groups (Config.Replicate).
-type ReplicaConfig struct {
-	// LeaseInterval is a partition primary's heartbeat period; 0 means
-	// 25ms.
-	LeaseInterval time.Duration
-	// LeaseTimeout is how long a backup tolerates heartbeat silence
-	// before promoting itself (plus an owner-position stagger of one
-	// LeaseInterval per position, so earlier owners win ties); 0 means
-	// 4×LeaseInterval.
-	LeaseTimeout time.Duration
-	// OnRoleChange, when set, observes this process's view of a
-	// partition's primaryship changing: on self-promotion primary is the
-	// local node, on demotion/adoption it is the peer whose heartbeat
-	// won. Called outside replicator locks; used for logging.
-	OnRoleChange func(part int, primary model.NodeID, term uint64)
-}
-
-func (rc ReplicaConfig) withDefaults() ReplicaConfig {
-	if rc.LeaseInterval <= 0 {
-		rc.LeaseInterval = 25 * time.Millisecond
-	}
-	if rc.LeaseTimeout <= 0 {
-		rc.LeaseTimeout = 4 * rc.LeaseInterval
-	}
-	return rc
-}
 
 // ReplicaPartHealth is one partition's replica-group status at one
 // node, served machine-readable by threev-node's /health.
@@ -79,34 +50,23 @@ type ReplicaPartHealth struct {
 // replicator supervises one locally hosted node's replica-group roles
 // across all partitions.
 type replicator struct {
-	c   *Cluster
-	nd  *Node
-	cfg ReplicaConfig
+	c     *Cluster
+	nd    *Node
+	lease *lease // one slot per partition
 
-	mu       sync.Mutex
-	prim     []model.NodeID // current primary view per partition
-	primTerm []uint64       // term under which prim claimed the partition
-	lastBeat []time.Time    // last accepted heartbeat (or own claim)
-	acked    [][]uint64     // [part][node] applied frontier acked by each backup
-	stopped  bool
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
+	mu    sync.Mutex
+	acked [][]uint64 // [part][node] applied frontier acked by each backup
 }
 
-func newReplicator(c *Cluster, nd *Node, cfg ReplicaConfig) *replicator {
-	nparts := nd.nparts
+func newReplicator(c *Cluster, nd *Node) *replicator {
 	r := &replicator{
-		c:        c,
-		nd:       nd,
-		cfg:      cfg,
-		prim:     make([]model.NodeID, nparts),
-		primTerm: make([]uint64, nparts),
-		lastBeat: make([]time.Time, nparts),
-		acked:    make([][]uint64, nparts),
-		stopCh:   make(chan struct{}),
+		c:     c,
+		nd:    nd,
+		lease: newLease(c.cfg.ReplicaConfig, nd.id, c.cfg.Nodes, nd.nparts),
+		acked: make([][]uint64, nd.nparts),
 	}
-	for p := 0; p < nparts; p++ {
-		r.prim[p] = c.pmap.Primary(p)
+	for p := range r.acked {
+		r.lease.slots[p].holder = c.pmap.Primary(p)
 		r.acked[p] = make([]uint64, c.cfg.Nodes)
 	}
 	return r
@@ -124,78 +84,26 @@ func (r *replicator) ownerPos(part int) int {
 	return -1
 }
 
-// start seeds the lease clocks, claims the partitions this node is
-// placement primary for (minting a fresh term above anything durably
-// recovered, so a restarted ex-primary cannot reuse a fenced one), and
-// launches the lease loop.
+// start claims the partitions this node is placement primary for
+// (minting a fresh term above anything durably recovered, so a
+// restarted ex-primary cannot reuse a fenced one) and launches the
+// lease loop.
 func (r *replicator) start() {
-	now := time.Now()
-	r.mu.Lock()
-	for p := range r.lastBeat {
-		r.lastBeat[p] = now // grace period before the first election
-	}
-	r.mu.Unlock()
 	for p := 0; p < r.nd.nparts; p++ {
 		if r.c.pmap.Primary(p) == r.nd.id {
-			r.claim(p)
+			r.claim(p, time.Now())
 		}
 	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		t := time.NewTicker(r.cfg.LeaseInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.stopCh:
-				return
-			case <-t.C:
-				r.tick()
-			}
-		}
-	}()
+	r.lease.start(r.tick)
 }
 
-func (r *replicator) stop() {
-	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
-		return
-	}
-	r.stopped = true
-	close(r.stopCh)
-	r.mu.Unlock()
-	r.wg.Wait()
-}
-
-func (r *replicator) tick() {
-	now := time.Now()
+func (r *replicator) tick(now time.Time) {
 	for part := 0; part < r.nd.nparts; part++ {
-		r.mu.Lock()
-		if r.stopped {
-			r.mu.Unlock()
-			return
-		}
-		isPrim := r.prim[part] == r.nd.id
-		term := r.primTerm[part]
-		last := r.lastBeat[part]
-		r.mu.Unlock()
-		if isPrim {
-			r.heartbeat(part, term)
+		if s := r.lease.get(part); s.holder == r.nd.id {
+			r.heartbeat(part, s.term)
 			r.publishLag(part)
-			continue
-		}
-		pos := r.ownerPos(part)
-		if pos < 0 {
-			continue
-		}
-		// Staggered expiry: the owner at position k waits k extra lease
-		// intervals, so the earliest live owner in OwnerSet order claims
-		// first and its announcement renews everyone else's lease before
-		// their own threshold passes.
-		wait := r.cfg.LeaseTimeout + time.Duration(pos)*r.cfg.LeaseInterval
-		if now.Sub(last) > wait {
-			r.claim(part)
+		} else if r.lease.due(part, r.ownerPos(part), now) {
+			r.claim(part, now)
 		}
 	}
 }
@@ -204,28 +112,18 @@ func (r *replicator) tick() {
 // everything seen, journal it (observeReplTerm) before announcing, and
 // heartbeat immediately so surviving owners adopt the new primary
 // before their own staggered thresholds pass.
-func (r *replicator) claim(part int) {
-	maxSeen := r.nd.replTerms[part].Load()
-	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
+func (r *replicator) claim(part int, now time.Time) {
+	term := r.lease.claim(part, r.nd.replTerms[part].Load(), now)
+	if term == 0 {
 		return
 	}
-	if t := r.primTerm[part]; t > maxSeen {
-		maxSeen = t
-	}
-	term := nextTerm(maxSeen, r.nd.id, r.c.cfg.Nodes)
-	r.prim[part] = r.nd.id
-	r.primTerm[part] = term
-	r.lastBeat[part] = time.Now()
-	r.mu.Unlock()
 	// Durable before the announcement: a post-crash restart of this
 	// process must not propose a term at or below this one.
 	r.nd.observeReplTerm(part, term)
 	r.nd.reg.Inc(obs.CtrPromotions, 1)
 	r.nd.reg.RecordEvent(obs.Event{Kind: obs.EvTakeover, Node: int(r.nd.id),
 		Detail: "replica promotion, partition " + itoa(uint64(part)) + ", term " + itoa(term)})
-	if f := r.cfg.OnRoleChange; f != nil {
+	if f := r.c.cfg.ReplicaConfig.OnRoleChange; f != nil {
 		f(part, r.nd.id, term)
 	}
 	r.heartbeat(part, term)
@@ -247,21 +145,8 @@ func (r *replicator) heartbeat(part int, term uint64) {
 // current-or-higher-term ReplicateMsg renews) into the lease view.
 // Called from the node's delivery path via Node.onReplBeat.
 func (r *replicator) noteBeat(part int, from model.NodeID, term uint64) {
-	var deposed bool
-	r.mu.Lock()
-	if term < r.primTerm[part] {
-		r.mu.Unlock()
-		return
-	}
-	if term > r.primTerm[part] || from == r.prim[part] {
-		deposed = r.prim[part] == r.nd.id && from != r.nd.id
-		r.prim[part] = from
-		r.primTerm[part] = term
-		r.lastBeat[part] = time.Now()
-	}
-	r.mu.Unlock()
-	if deposed {
-		if f := r.cfg.OnRoleChange; f != nil {
+	if r.lease.observe(part, from, term, time.Now()) {
+		if f := r.c.cfg.ReplicaConfig.OnRoleChange; f != nil {
 			f(part, from, term)
 		}
 	}
@@ -299,15 +184,12 @@ func (r *replicator) publishLag(part int) {
 	}
 }
 
-// currentPrimary returns this node's view of a partition's primary and
-// the term it holds the lease under.
-func (r *replicator) currentPrimary(part int) (model.NodeID, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if part < 0 || part >= len(r.prim) {
-		return 0, 0
+// currentPrimary returns this node's view of a partition's primary.
+func (r *replicator) currentPrimary(part int) model.NodeID {
+	if part < 0 || part >= r.nd.nparts {
+		return 0
 	}
-	return r.prim[part], r.primTerm[part]
+	return r.lease.get(part).holder
 }
 
 // health snapshots every partition's replica-group status at this node.
@@ -315,23 +197,21 @@ func (r *replicator) health() []ReplicaPartHealth {
 	now := time.Now()
 	out := make([]ReplicaPartHealth, r.nd.nparts)
 	for part := 0; part < r.nd.nparts; part++ {
+		s := r.lease.get(part)
 		r.mu.Lock()
-		prim := r.prim[part]
-		term := r.primTerm[part]
-		last := r.lastBeat[part]
 		acked := append([]uint64(nil), r.acked[part]...)
 		r.mu.Unlock()
 		h := ReplicaPartHealth{
 			Part:    part,
 			Role:    "backup",
-			Primary: prim,
-			Term:    term,
+			Primary: s.holder,
+			Term:    s.term,
 			SentSeq: r.nd.replSeqs[part].Load(),
 		}
-		if !last.IsZero() {
-			h.LastBeatAgeMs = now.Sub(last).Milliseconds()
+		if !s.last.IsZero() {
+			h.LastBeatAgeMs = now.Sub(s.last).Milliseconds()
 		}
-		if prim == r.nd.id {
+		if s.holder == r.nd.id {
 			h.Role = "primary"
 			h.Acked = make(map[string]uint64)
 			for _, o := range r.nd.pmap.OwnerSet(part) {

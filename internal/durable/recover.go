@@ -154,20 +154,15 @@ func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.
 	db.replApplied = rs.replApplied
 
 	restore := &core.NodeRestore{
-		Store:       rs.store,
-		Counters:    rs.cnts[0],
-		VR:          rs.vrs[0],
-		VU:          rs.vus[0],
-		NextEnq:     rs.nextEnq,
-		CoordTerm:   rs.coordTerm,
-		ReplTerms:   rs.replTerms,
-		ReplSeqs:    rs.replSeqs,
-		ReplApplied: rs.replApplied,
-	}
-	if len(rs.cnts) > 1 {
-		restore.PartCounters = rs.cnts
-		restore.PartVR = rs.vrs
-		restore.PartVU = rs.vus
+		Store:        rs.store,
+		NextEnq:      rs.nextEnq,
+		CoordTerm:    rs.coordTerm,
+		PartVR:       rs.vrs,
+		PartVU:       rs.vus,
+		PartCounters: rs.cnts,
+		ReplTerms:    rs.replTerms,
+		ReplSeqs:     rs.replSeqs,
+		ReplApplied:  rs.replApplied,
 	}
 	ids := make([]uint64, 0, len(rs.pending))
 	for id := range rs.pending {

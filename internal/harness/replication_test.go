@@ -36,11 +36,11 @@ func TestReplicatedKillPartitionPrimary(t *testing.T) {
 		Failover:       true,
 		ResendInterval: 5 * time.Millisecond,
 		AckTimeout:     30 * time.Second,
-		FailoverConfig: core.FailoverConfig{
+		FailoverConfig: core.LeaseConfig{
 			LeaseInterval: 10 * time.Millisecond,
 			LeaseTimeout:  40 * time.Millisecond,
 		},
-		ReplicaConfig: core.ReplicaConfig{
+		ReplicaConfig: core.LeaseConfig{
 			LeaseInterval: 10 * time.Millisecond,
 			LeaseTimeout:  40 * time.Millisecond,
 		},
