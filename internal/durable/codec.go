@@ -14,13 +14,15 @@ import (
 // Network frames are embedded verbatim as wire.AppendFrame output —
 // the 4-byte big-endian length prefix makes them self-delimiting — so
 // recovery re-sends byte-identical frames and the journal never needs
-// a second codec for message payloads.
+// a second codec for message payloads. Each tag has exactly one layout:
+// replay refuses a record with bytes left over, and a partition id
+// outside the configured range.
 const (
 	recEnq  = 1 // id uvarint | frame                      — command arrived
-	recExec = 2 // see appendExec                          — execution effects
-	recVU   = 3 // v uvarint [| part uvarint]              — vu[part] = max(vu, v)
-	recVR   = 4 // v uvarint [| part uvarint]              — vr[part] = max(vr, v)
-	recGC   = 5 // v uvarint [| part uvarint]              — drop part's versions < v
+	recExec = 2 // see appendExecLocked; ends part uvarint — execution effects
+	recVU   = 3 // v uvarint | part uvarint                — vu[part] = max(vu, v)
+	recVR   = 4 // v uvarint | part uvarint                — vr[part] = max(vr, v)
+	recGC   = 5 // v uvarint | part uvarint                — drop part's versions < v
 	recSend = 6 // frame                                   — session frame sent
 	recRecv = 7 // to varint | from varint | next uvarint  — recv watermark
 	recAck  = 8 // from varint | to varint | cum uvarint   — peer cumulative ack
@@ -29,15 +31,14 @@ const (
 
 	// Replica-group records (core.ReplJournal).
 	recRepl     = 10 // part uvarint | from varint | seq uvarint | v uvarint | nops uvarint | (key | op)* — backup applied a replicated effect set
-	recReplTerm = 11 // t uvarint [| part uvarint]   — replTerm[part] = max(term, t)
-	recReplSeq  = 12 // seq uvarint [| part uvarint] — replSeq[part] = max(seq, s)
+	recReplTerm = 11 // t uvarint | part uvarint   — replTerm[part] = max(term, t)
+	recReplSeq  = 12 // seq uvarint | part uvarint — replSeq[part] = max(seq, s)
 )
 
 // Checkpoint blob format version: the one generation Checkpoint writes
 // (encodeCheckpointLocked is the layout) and the only one
-// decodeCheckpoint accepts. The version-switch records append the
-// partition id only when it is non-zero.
-const ckptVersion = 4
+// decodeCheckpoint accepts; 1–4 were earlier generations.
+const ckptVersion = 5
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -69,6 +70,15 @@ func (c *cur) byte() byte {
 	v := c.b[c.off]
 	c.off++
 	return v
+}
+
+// end fails the decode if any byte is left over and returns the
+// cursor's error.
+func (c *cur) end() error {
+	if c.err == nil && c.off != len(c.b) {
+		c.fail("durable: %d trailing byte(s) at %d", len(c.b)-c.off, c.off)
+	}
+	return c.err
 }
 
 func (c *cur) uvarint() uint64 {

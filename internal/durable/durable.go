@@ -64,13 +64,14 @@ type Options struct {
 	Self  model.NodeID
 	Nodes int
 	// Partitions is the cluster's partition count (core.Config.Partitions);
-	// 0 or 1 means unpartitioned. Checkpoints carry one version pair and
-	// one counter section per partition, and recovery restores them all.
+	// 0 means 1. Every version, execution and replication record names
+	// its partition, checkpoints carry one version pair and one counter
+	// section per partition, and recovery refuses any partition id
+	// outside [0, Partitions).
 	Partitions int
-	// Fsync, FsyncInterval and SegmentBytes pass through to wal.Options.
-	Fsync         wal.Policy
-	FsyncInterval time.Duration
-	SegmentBytes  int64
+	// Fsync passes through to wal.Options; the log's own flush interval
+	// and segment size defaults apply.
+	Fsync wal.Policy
 	// CheckpointInterval spaces background checkpoints once
 	// StartCheckpoints is called; 0 means 2s.
 	CheckpointInterval time.Duration
@@ -306,11 +307,7 @@ func (db *DB) appendExecLocked(rec core.ExecRecord, prepared []reliable.Prepared
 		db.must(err)
 		db.buf = append(db.buf, fb...)
 	}
-	if rec.Part != 0 {
-		// Trailing, omitted for partition 0: pre-partitioning records
-		// decode unchanged and unpartitioned logs stay byte-identical.
-		db.buf = binary.AppendUvarint(db.buf, uint64(rec.Part))
-	}
+	db.buf = binary.AppendUvarint(db.buf, uint64(rec.Part))
 	_, err := db.log.Append(db.buf)
 	db.must(err)
 
@@ -359,11 +356,7 @@ func (db *DB) versionRec(tag byte, part int, v model.Version) {
 	db.mu.Lock()
 	db.buf = append(db.buf[:0], tag)
 	db.buf = binary.AppendUvarint(db.buf, uint64(v))
-	if part != 0 {
-		// Partition 0 (and every pre-partitioning record) omits the id,
-		// keeping unpartitioned logs byte-identical to the old format.
-		db.buf = binary.AppendUvarint(db.buf, uint64(part))
-	}
+	db.buf = binary.AppendUvarint(db.buf, uint64(part))
 	_, err := db.log.Append(db.buf)
 	db.mu.Unlock()
 	db.must(err)
@@ -414,9 +407,7 @@ func (db *DB) ReplTerm(part int, t uint64) {
 	db.replTerms[part] = t
 	db.buf = append(db.buf[:0], recReplTerm)
 	db.buf = binary.AppendUvarint(db.buf, t)
-	if part != 0 {
-		db.buf = binary.AppendUvarint(db.buf, uint64(part))
-	}
+	db.buf = binary.AppendUvarint(db.buf, uint64(part))
 	_, err := db.log.Append(db.buf)
 	db.mu.Unlock()
 	db.must(err)
@@ -436,9 +427,7 @@ func (db *DB) ReplSend(part int, seq uint64) {
 	db.replSeqs[part] = seq
 	db.buf = append(db.buf[:0], recReplSeq)
 	db.buf = binary.AppendUvarint(db.buf, seq)
-	if part != 0 {
-		db.buf = binary.AppendUvarint(db.buf, uint64(part))
-	}
+	db.buf = binary.AppendUvarint(db.buf, uint64(part))
 	_, err := db.log.Append(db.buf)
 	db.must(err)
 }
@@ -581,25 +570,21 @@ func (db *DB) Checkpoint() error {
 // encodeCheckpointLocked snapshots node + journal state. Caller holds
 // the freeze (gate + Frozen) and db.mu.
 func (db *DB) encodeCheckpointLocked() []byte {
-	vr, vu := db.node.Versions()
 	buf := []byte{ckptVersion}
 	buf = binary.AppendVarint(buf, int64(db.opts.Self))
 	buf = binary.AppendUvarint(buf, uint64(db.opts.Nodes))
-	buf = binary.AppendUvarint(buf, uint64(vr))
-	buf = binary.AppendUvarint(buf, uint64(vu))
 	buf = binary.AppendUvarint(buf, db.nextEnq)
 	buf = binary.AppendUvarint(buf, db.coordTerm)
-	// Version 3: partition count plus every partition's version pair
-	// (partition 0's repeats the legacy pair above).
+	// Partition count plus every partition's version pair.
 	buf = binary.AppendUvarint(buf, uint64(db.opts.Partitions))
 	for p := 0; p < db.opts.Partitions; p++ {
-		pvr, pvu := db.node.VersionsPart(p)
-		buf = binary.AppendUvarint(buf, uint64(pvr))
-		buf = binary.AppendUvarint(buf, uint64(pvu))
+		vr, vu := db.node.VersionsPart(p)
+		buf = binary.AppendUvarint(buf, uint64(vr))
+		buf = binary.AppendUvarint(buf, uint64(vu))
 	}
-	// Version 4: replica-group frontiers — per partition the replication
-	// lease term, sent sequence, and per-sender applied sequence (all
-	// zero when replication never ran).
+	// Replica-group frontiers — per partition the replication lease
+	// term, sent sequence, and per-sender applied sequence (all zero
+	// when replication never ran).
 	for p := 0; p < db.opts.Partitions; p++ {
 		buf = binary.AppendUvarint(buf, db.replTerms[p])
 		buf = binary.AppendUvarint(buf, db.replSeqs[p])

@@ -11,7 +11,9 @@ package durable
 // advancement completes.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -388,18 +390,121 @@ func TestRestartIdempotent(t *testing.T) {
 	}
 }
 
+// emptyCheckpoint returns a well-formed checkpoint blob in the current
+// layout, stamped with generation gen: node 0 of 1, nparts partitions
+// each at versions 1/2, and an empty store, counter tables, pending set
+// and mirrors.
+func emptyCheckpoint(gen byte, nparts int) []byte {
+	b := []byte{gen, 0, 1, 1, 0, byte(nparts)} // self, nodes, nextEnq, coordTerm, partitions
+	for p := 0; p < nparts; p++ {
+		b = append(b, 1, 2) // vr, vu
+	}
+	for p := 0; p < nparts; p++ {
+		b = append(b, 0, 0, 0) // replication term, sent seq, applied seq from node 0
+	}
+	b = append(b, 0) // store shards
+	for p := 0; p < nparts; p++ {
+		b = append(b, 0) // counter rows
+	}
+	return append(b, 0, 0, 0) // pending commands, send mirrors, receive watermarks
+}
+
 // TestDecodeCheckpointRefusesOtherGenerations pins the one-generation
-// rule: only the blob version Checkpoint writes decodes. The body is a
-// well-formed generation-3 blob (node 0 of 1, one partition at versions
-// 1/2, empty store, counters, pending set and mirrors), so it is the
-// version byte alone that gets it refused.
+// rule: only the blob version Checkpoint writes decodes. The body is
+// well-formed, so it is the version byte alone that gets it refused.
 func TestDecodeCheckpointRefusesOtherGenerations(t *testing.T) {
 	db := &DB{opts: Options{Self: 0, Nodes: 1, Partitions: 1}}
-	body := []byte{0, 1, 1, 2, 1, 0, 1, 1, 2, 0, 0, 0, 0, 0}
-	for _, ver := range []byte{0, 3, ckptVersion + 1} {
-		_, err := db.decodeCheckpoint(append([]byte{ver}, body...))
+	if _, err := db.decodeCheckpoint(emptyCheckpoint(ckptVersion, 1)); err != nil {
+		t.Fatalf("current generation: %v", err)
+	}
+	for _, ver := range []byte{0, 3, 4, ckptVersion + 1} {
+		_, err := db.decodeCheckpoint(emptyCheckpoint(ver, 1))
 		if want := fmt.Sprintf("unsupported blob version %d", ver); err == nil || err.Error() != want {
 			t.Errorf("blob version %d: err = %v, want %q", ver, err, want)
 		}
+	}
+}
+
+// TestReplayRefusesCorruptRecords is the corruption table for recovery:
+// a checkpoint plus CRC-valid WAL records written straight to a data
+// directory, then Open. Every record has exactly one layout, so a
+// partition id outside [0, P), a byte left over, or a record cut short
+// must fail recovery instead of being replayed into the wrong state.
+func TestReplayRefusesCorruptRecords(t *testing.T) {
+	const nparts = 2
+	rec := func(tag byte, vals ...uint64) []byte {
+		b := []byte{tag}
+		for _, v := range vals {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	cases := []struct {
+		name    string
+		ckpt    []byte
+		records [][]byte
+		want    string // "" = recovery must succeed
+	}{
+		{"well-formed", emptyCheckpoint(ckptVersion, nparts),
+			[][]byte{rec(recVU, 3, 1), rec(recVR, 2, 1), rec(recReplSeq, 4, 0)}, ""},
+		{"out-of-range partition", emptyCheckpoint(ckptVersion, nparts),
+			[][]byte{rec(recVU, 3, nparts)}, "partition 2 outside [0, 2)"},
+		{"out-of-range replicated partition", emptyCheckpoint(ckptVersion, nparts),
+			[][]byte{rec(recRepl, nparts, 0, 1, 3, 0)}, "partition 2 outside [0, 2)"},
+		{"trailing byte", emptyCheckpoint(ckptVersion, nparts),
+			[][]byte{append(rec(recVU, 3, 1), 0)}, "1 trailing byte(s)"},
+		{"truncated record", emptyCheckpoint(ckptVersion, nparts),
+			[][]byte{rec(recRecv, 0)}, "bad varint"},
+		{"record without partition id", emptyCheckpoint(ckptVersion, nparts),
+			[][]byte{rec(recVU, 3)}, "bad uvarint"},
+		{"retired-generation checkpoint", emptyCheckpoint(4, nparts),
+			nil, "unsupported blob version 4"},
+		{"trailing byte after checkpoint", append(emptyCheckpoint(ckptVersion, nparts), 0),
+			nil, "1 trailing byte(s)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			anchor, err := log.Rotate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.SaveCheckpoint(anchor, tc.ckpt); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range tc.records {
+				if _, err := log.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			db, restore, _, err := Open(Options{Dir: dir, Self: 0, Nodes: 1, Partitions: nparts, Fsync: wal.FsyncNever})
+			if tc.want != "" {
+				if err == nil {
+					db.Close()
+					t.Fatalf("recovery accepted it (partition vr=%v vu=%v), want error containing %q",
+						restore.PartVR, restore.PartVU, tc.want)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want it to contain %q", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			defer db.Close()
+			if restore.PartVU[1] != 3 || restore.PartVR[1] != 2 || restore.PartVU[0] != 2 || restore.ReplSeqs[0] != 4 {
+				t.Fatalf("replayed state vr=%v vu=%v replSeqs=%v, want partition 1 at 2/3 and partition 0's seq 4",
+					restore.PartVR, restore.PartVU, restore.ReplSeqs)
+			}
+		})
 	}
 }

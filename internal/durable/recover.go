@@ -56,13 +56,7 @@ func Open(opts Options) (*DB, *core.NodeRestore, *reliable.SessionState, error) 
 		}
 	}
 
-	db.log, err = wal.Open(wal.Options{
-		Dir:           opts.Dir,
-		Fsync:         opts.Fsync,
-		FsyncInterval: opts.FsyncInterval,
-		SegmentBytes:  opts.SegmentBytes,
-		Obs:           opts.Obs,
-	})
+	db.log, err = wal.Open(wal.Options{Dir: opts.Dir, Fsync: opts.Fsync, Obs: opts.Obs})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -71,8 +65,7 @@ func Open(opts Options) (*DB, *core.NodeRestore, *reliable.SessionState, error) 
 
 // replayState accumulates recovery: checkpoint state first, then WAL
 // records applied on top in log order. Version pairs and counter
-// tables are per partition (index 0 is the only entry when the node is
-// unpartitioned).
+// tables are per partition.
 type replayState struct {
 	store     *storage.Store
 	cnts      []*counters.Table
@@ -89,14 +82,18 @@ type replayState struct {
 	replApplied [][]uint64
 }
 
-// part clamps a decoded partition id into the replay arrays (a record
-// for a partition this process was not configured with lands in 0
-// rather than panicking; the cluster restore revalidates anyway).
-func (rs *replayState) part(p int) int {
-	if p < 0 || p >= len(rs.cnts) {
+// part reads a record's partition id. An id this process was not
+// configured with fails the decode: replaying it into any other
+// partition would move that partition's versions or counters.
+func (rs *replayState) part(c *cur) int {
+	p := c.uvarint()
+	if c.err == nil && p >= uint64(len(rs.cnts)) {
+		c.fail("durable: partition %d outside [0, %d)", p, len(rs.cnts))
+	}
+	if c.err != nil {
 		return 0
 	}
-	return p
+	return int(p)
 }
 
 func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.SessionState, error) {
@@ -216,10 +213,6 @@ func (db *DB) decodeCheckpoint(blob []byte) (*replayState, error) {
 		send:    make(map[link]*sendMirror),
 		recv:    make(map[link]uint64),
 	}
-	// Partition 0's version pair, which the per-partition pairs below
-	// repeat.
-	c.uvarint()
-	c.uvarint()
 	rs.nextEnq = c.uvarint()
 	rs.coordTerm = c.uvarint()
 	nparts := c.count()
@@ -320,7 +313,7 @@ func (db *DB) decodeCheckpoint(blob []byte) (*replayState, error) {
 		from := model.NodeID(c.varint())
 		rs.recv[link{from: from, to: to}] = c.uvarint()
 	}
-	return rs, c.err
+	return rs, c.end()
 }
 
 // apply folds one WAL record into the replay state. Order-independence
@@ -391,12 +384,9 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 			}
 			locals = append(locals, localCmd{id: id, msg: sub})
 		}
-		part := 0
-		if c.err == nil && c.off < len(c.b) {
-			part = rs.part(int(c.uvarint()))
-		}
-		if c.err != nil {
-			return c.err
+		part := rs.part(c)
+		if err := c.end(); err != nil {
+			return err
 		}
 
 		delete(rs.pending, enqID)
@@ -425,7 +415,7 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 
 	case recVU:
 		v := model.Version(c.uvarint())
-		part := rs.optPart(c)
+		part := rs.part(c)
 		if c.err == nil {
 			if v > rs.vus[part] {
 				rs.vus[part] = v
@@ -434,13 +424,13 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 		}
 	case recVR:
 		v := model.Version(c.uvarint())
-		part := rs.optPart(c)
+		part := rs.part(c)
 		if c.err == nil && v > rs.vrs[part] {
 			rs.vrs[part] = v
 		}
 	case recGC:
 		v := model.Version(c.uvarint())
-		part := rs.optPart(c)
+		part := rs.part(c)
 		if c.err == nil {
 			rs.store.GCFunc(v, db.gcPred(part))
 			rs.cnts[part].DropBelow(v)
@@ -451,7 +441,7 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 		}
 
 	case recRepl:
-		part := rs.part(int(c.uvarint()))
+		part := rs.part(c)
 		from := int(c.varint())
 		seq := c.uvarint()
 		ver := model.Version(c.uvarint())
@@ -480,13 +470,13 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 		}
 	case recReplTerm:
 		t := c.uvarint()
-		part := rs.optPart(c)
+		part := rs.part(c)
 		if c.err == nil && t > rs.replTerms[part] {
 			rs.replTerms[part] = t
 		}
 	case recReplSeq:
 		seq := c.uvarint()
-		part := rs.optPart(c)
+		part := rs.part(c)
 		if c.err == nil && seq > rs.replSeqs[part] {
 			rs.replSeqs[part] = seq
 		}
@@ -524,16 +514,7 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 	default:
 		return fmt.Errorf("unknown record tag %d", tag)
 	}
-	return c.err
-}
-
-// optPart reads a record's optional trailing partition id (absent on
-// partition-0 and pre-partitioning records).
-func (rs *replayState) optPart(c *cur) int {
-	if c.err != nil || c.off >= len(c.b) {
-		return 0
-	}
-	return rs.part(int(c.uvarint()))
+	return c.end()
 }
 
 // gcPred returns the key predicate scoping a GC replay to one

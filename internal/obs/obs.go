@@ -124,8 +124,8 @@ type Options struct {
 	// TraceSampleN enables distributed tracing (span recording, stage
 	// attribution, /traces.json) and head-samples 1 in N submitted
 	// transactions (1 = every transaction). 0 — the default — disables
-	// tracing entirely: no span ring is allocated, no trace context is
-	// stamped on messages, and frames stay in the version-1 format.
+	// tracing entirely: no span ring is allocated and no trace context is
+	// stamped on messages, so every frame header carries flags 0.
 	TraceSampleN int
 	// TraceSlow, when positive, post-hoc records a root-only span for
 	// every transaction (sampled or not) whose end-to-end latency

@@ -27,8 +27,8 @@ import (
 // TraceContext is the compact causal context carried across processes
 // in the wire codec's frame header: which trace the message belongs to
 // and which span caused it. The zero value means "not sampled" — the
-// sampling bit is TraceID != 0, so an untraced message costs nothing on
-// the wire (the codec emits the version-1 header unchanged).
+// sampling bit is TraceID != 0, so an untraced message costs only its
+// header's flags byte on the wire.
 type TraceContext struct {
 	TraceID uint64
 	// SpanID is the sender-side span that caused this message; the

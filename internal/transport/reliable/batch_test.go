@@ -169,7 +169,7 @@ func BenchmarkRetransmitScanIdle(b *testing.B) {
 
 // BenchmarkRetransmitScanIdleFull measures the same idle tick without
 // the guard: the full n² sweep over every link mutex that used to run
-// on every TickInterval even with nothing in flight.
+// on every retransmit tick even with nothing in flight.
 func BenchmarkRetransmitScanIdleFull(b *testing.B) {
 	s := benchSession(16)
 	now := time.Now()

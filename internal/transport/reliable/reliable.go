@@ -111,16 +111,14 @@ type SessionState struct {
 // sized for the in-process simulation's microsecond-scale latencies.
 type Config struct {
 	// RetransmitInterval is the initial retransmission timeout for an
-	// unacknowledged frame; 0 means 2ms.
+	// unacknowledged frame; 0 means 2ms. The unacked frame lists are
+	// scanned every RetransmitInterval/2.
 	RetransmitInterval time.Duration
 	// MaxBackoff caps the per-frame exponential backoff; 0 means 50ms.
 	MaxBackoff time.Duration
-	// TickInterval spaces scans of the unacked frame lists; 0 means
-	// RetransmitInterval/2.
-	TickInterval time.Duration
 	// FlushInterval, when positive, turns on frame batching: data frames
 	// stage on a per-link outbox and leave as one transport.BatchMsg
-	// envelope when the window expires (or the outbox hits MaxBatch), so
+	// envelope when the window expires (or the outbox hits maxBatch), so
 	// the inner network moves a whole flush per send. 0 disables
 	// batching — every frame is transmitted individually, exactly the
 	// pre-batching behaviour.
@@ -131,8 +129,6 @@ type Config struct {
 	// direction for free. It must stay well below RetransmitInterval or
 	// delayed acks provoke spurious retransmits. 0 means FlushInterval.
 	AckDelay time.Duration
-	// MaxBatch caps frames per flush envelope; 0 means 256.
-	MaxBatch int
 	// Journal, when non-nil, receives the durability callbacks above.
 	Journal Journal
 	// Gate, when non-nil, brackets every inbound dispatch — watermark
@@ -163,17 +159,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 50 * time.Millisecond
 	}
-	if c.TickInterval <= 0 {
-		c.TickInterval = c.RetransmitInterval / 2
-	}
 	if c.FlushInterval > 0 && c.AckDelay <= 0 {
 		c.AckDelay = c.FlushInterval
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 	return c
 }
+
+// maxBatch caps frames per flush envelope.
+const maxBatch = 256
 
 // pendingFrame is one sent-but-unacknowledged data frame.
 type pendingFrame struct {
@@ -440,7 +433,7 @@ func (s *Session) stage(env transport.Message) {
 	l := s.send[env.From][env.To]
 	l.mu.Lock()
 	l.outbox = append(l.outbox, env)
-	if len(l.outbox) >= s.cfg.MaxBatch || s.closing.Load() {
+	if len(l.outbox) >= maxBatch || s.closing.Load() {
 		msgs := l.outbox
 		l.outbox = nil
 		l.mu.Unlock()
@@ -726,7 +719,7 @@ func (s *Session) onAck(id, from model.NodeID, cum uint64) {
 // with capped exponential backoff.
 func (s *Session) retransmitLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.TickInterval)
+	t := time.NewTicker(s.cfg.RetransmitInterval / 2)
 	defer t.Stop()
 	for {
 		select {

@@ -71,10 +71,11 @@ type Config struct {
 	// failure: drop the conn, redial, re-send the batch.
 	WriteTimeout time.Duration
 	// BatchFrames encodes each writer pass's drained queue as a single
-	// version-3 batch frame instead of one frame per message: one length
-	// prefix, one header, one decode on the far side. Messages whose
-	// payload is already a transport.BatchMsg (an upper layer's flush
-	// envelope) pass through as their own frames — batches never nest.
+	// frame whose payload is a transport.BatchMsg instead of one frame
+	// per message: one length prefix, one decode on the far side.
+	// Messages whose payload is already a transport.BatchMsg (an upper
+	// layer's flush envelope) pass through as their own frames — batches
+	// never nest.
 	// The receiver routes each member by its own To, so endpoints that
 	// share an address still demultiplex correctly.
 	BatchFrames bool
@@ -461,7 +462,7 @@ func (n *Net) appendFrame(buf []byte, m transport.Message, reg *obs.Registry) ([
 }
 
 // encodeBatched encodes one writer pass as batch frames: maximal runs
-// of ordinary messages become one version-3 envelope each, while
+// of ordinary messages become one BatchMsg envelope each, while
 // messages that already are flush envelopes (upper-layer BatchMsg)
 // pass through as their own frames, since batches must not nest. Every
 // frame written is one flush for the batch-size histogram.

@@ -322,16 +322,17 @@ type Config struct {
 	Faults Faults
 
 	// BatchWindow, when positive, coalesces each directed link's sends
-	// for up to this long and dispatches them as one BatchMsg envelope.
-	// The envelope is one unit to the fault layer — a drop loses the
-	// whole flush, a duplicate copies it — exactly like a batched frame
-	// on a real wire. 0 disables batching: every message dispatches
-	// individually, byte-for-byte the pre-batching behaviour.
+	// for up to this long (or until maxBatch are staged) and dispatches
+	// them as one BatchMsg envelope. The envelope is one unit to the
+	// fault layer — a drop loses the whole flush, a duplicate copies it —
+	// exactly like a batched frame on a real wire. 0 disables batching:
+	// every message dispatches individually.
 	BatchWindow time.Duration
-	// MaxBatch caps messages per flush (a full buffer flushes without
-	// waiting out the window); 0 means 256.
-	MaxBatch int
 }
+
+// maxBatch caps messages per link flush: a full buffer flushes without
+// waiting out the window.
+const maxBatch = 256
 
 // Net is the live network. Each node has one mailbox and one delivery
 // goroutine invoking its handler; latency/jitter are imposed by timer
@@ -346,7 +347,6 @@ type Net struct {
 	// Link batching (nil slices when Config.BatchWindow == 0).
 	links      []*linkBuf // staging buffers, indexed from*Nodes+to
 	linkLabels []string   // "from→to" histogram labels, same index
-	maxBatch   int
 	flushes    atomic.Int64
 	reg        atomic.Pointer[obs.Registry]
 
@@ -412,10 +412,6 @@ func NewNet(cfg Config) *Net {
 		n.boxes[i] = newMailbox()
 	}
 	if cfg.BatchWindow > 0 {
-		n.maxBatch = cfg.MaxBatch
-		if n.maxBatch <= 0 {
-			n.maxBatch = 256
-		}
 		n.links = make([]*linkBuf, cfg.Nodes*cfg.Nodes)
 		n.linkLabels = make([]string, cfg.Nodes*cfg.Nodes)
 		for from := 0; from < cfg.Nodes; from++ {
@@ -525,7 +521,7 @@ func (n *Net) stage(m Message) {
 	lb := n.links[int(m.From)*n.cfg.Nodes+int(m.To)]
 	lb.mu.Lock()
 	lb.msgs = append(lb.msgs, m)
-	if len(lb.msgs) >= n.maxBatch {
+	if len(lb.msgs) >= maxBatch {
 		msgs := lb.msgs
 		lb.msgs = nil
 		lb.mu.Unlock()

@@ -12,10 +12,11 @@ import (
 // first re-encode, so decoded-vs-redecoded is the right comparison, not
 // input-vs-re-encoded bytes). The corpus is seeded with one frame per
 // registered payload type — including NC3V 2PC votes/decisions, the
-// coordinator-recovery probe/reply, and version-3 batch envelopes
-// (whose nesting the decoder must reject: a batch is only valid as a
-// whole frame, never as a member or nested payload) — so mutation
-// starts from every branch of the decoder.
+// coordinator-recovery probe/reply, traced headers, and batches with
+// traced and session-enveloped members (whose nesting the decoder must
+// reject: a batch is only valid as the frame's own payload, never as a
+// member or inside a session envelope) — so mutation starts from every
+// branch of the decoder.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, m := range sampleMessages() {
 		frame, err := AppendFrame(nil, m)

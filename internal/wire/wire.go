@@ -7,19 +7,20 @@
 // Frame layout (length prefix first, then the frame body):
 //
 //	uint32 BE  body length (version byte through end of payload)
-//	byte       format version (1, or 2 when a trace context is present)
-//	byte       flags (version 2 only; bit 0 = trace context follows,
-//	           other bits must be zero)
-//	uvarint    trace id   (version 2 with flag bit 0 only)
-//	uvarint    parent span id (version 2 with flag bit 0 only)
-//	varint     From node id
-//	varint     To node id
-//	uvarint    payload type id (see the registry below)
-//	...        payload body, type-specific
+//	byte       format version (FormatVersion)
+//	message:
+//	  byte     flags (bit 0 = trace context follows; other bits must be zero)
+//	  uvarint  trace id       (flag bit 0 only)
+//	  uvarint  parent span id (flag bit 0 only)
+//	  varint   From node id
+//	  varint   To node id
+//	  uvarint  payload type id (see the registry below)
+//	  ...      payload body, type-specific
 //
-// An untraced message encodes as a version-1 frame, byte-identical to
-// the pre-tracing format, so peers without sampling enabled exchange
-// exactly the old wire bytes and old captures still decode.
+// Every message — traced or not, alone or inside a batch — has that one
+// layout. A transport.BatchMsg is an ordinary payload whose body is a
+// uvarint count followed by that many messages; it is valid only as the
+// frame's own payload, never inside another payload.
 //
 // Integers use the varint encodings from encoding/binary: unsigned
 // quantities (versions, txn ids, sequence numbers, counts) are
@@ -50,24 +51,24 @@ import (
 	"repro/internal/transport/reliable"
 )
 
-// FormatVersion is the base frame format generation; FormatVersionTC
-// is the extension that prefixes the header with a flags byte and an
-// optional trace context; FormatVersionBatch marks a batched frame —
-// one envelope whose payload is a transport.BatchMsg carrying N member
-// messages, each with its own flags/trace-context/endpoint header.
-// Readers accept all three; writers emit the base version whenever the
-// message carries no trace context (so tracing costs zero wire bytes
-// when disabled) and the batch version exactly when the payload is a
-// BatchMsg. Any other version byte is rejected (ErrVersion) — peers
-// must run the same format.
-const (
-	FormatVersion      = 1
-	FormatVersionTC    = 2
-	FormatVersionBatch = 3
-)
+// FormatVersion is the frame format generation. Any other version byte
+// is rejected (ErrVersion) — peers must run the same format. Values 1–3
+// were earlier generations and are never reused.
+const FormatVersion = 4
 
-// Header flag bits (FormatVersionTC frames only).
+// Message header flag bits.
 const flagTraceContext = 1 << 0
+
+// nest says where a payload sits, for the two nesting rules: a batch is
+// valid only as the frame's own payload, and a session envelope may not
+// wrap another session envelope.
+type nest uint8
+
+const (
+	atTop     nest = iota // the frame's own payload
+	inBatch               // a batch member's payload
+	inSession             // the body of a reliable.DataMsg
+)
 
 // MaxFrame bounds the body length a reader will accept: 16 MiB is far
 // above any real protocol message (counter replies grow linearly with
@@ -229,21 +230,9 @@ func Prototypes() map[uint64]any {
 // on payload types outside the registry and on malformed payloads (nil
 // subtransaction specs, unknown op kinds).
 func AppendFrame(buf []byte, m transport.Message) ([]byte, error) {
-	if b, ok := m.Payload.(transport.BatchMsg); ok {
-		return appendBatchFrame(buf, m, b)
-	}
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // length backfilled below
-	if m.TC.Sampled() {
-		buf = append(buf, FormatVersionTC, flagTraceContext)
-		buf = binary.AppendUvarint(buf, m.TC.TraceID)
-		buf = binary.AppendUvarint(buf, m.TC.SpanID)
-	} else {
-		buf = append(buf, FormatVersion)
-	}
-	buf = binary.AppendVarint(buf, int64(m.From))
-	buf = binary.AppendVarint(buf, int64(m.To))
-	buf, err := appendPayload(buf, m.Payload, 0)
+	buf = append(buf, 0, 0, 0, 0, FormatVersion) // length backfilled below
+	buf, err := appendMessage(buf, m, atTop)
 	if err != nil {
 		return buf[:start], err
 	}
@@ -255,48 +244,24 @@ func AppendFrame(buf []byte, m transport.Message) ([]byte, error) {
 	return buf, nil
 }
 
-// appendBatchFrame writes one FormatVersionBatch frame: the envelope's
-// endpoints, then the member count, then each member's own header
-// (flags byte, optional trace context, endpoints) and payload. The
-// envelope's trace context is not encoded — a batch is a transport
-// artifact, not a traced protocol event; members keep their own
-// contexts. Members must not themselves be BatchMsg (no nesting).
-func appendBatchFrame(buf []byte, m transport.Message, b transport.BatchMsg) ([]byte, error) {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // length backfilled below
-	buf = append(buf, FormatVersionBatch)
+// appendMessage writes one message: flags, optional trace context,
+// endpoints, then the payload.
+func appendMessage(buf []byte, m transport.Message, at nest) ([]byte, error) {
+	if m.TC.Sampled() {
+		buf = append(buf, flagTraceContext)
+		buf = binary.AppendUvarint(buf, m.TC.TraceID)
+		buf = binary.AppendUvarint(buf, m.TC.SpanID)
+	} else {
+		buf = append(buf, 0)
+	}
 	buf = binary.AppendVarint(buf, int64(m.From))
 	buf = binary.AppendVarint(buf, int64(m.To))
-	buf = binary.AppendUvarint(buf, idBatch)
-	buf = binary.AppendUvarint(buf, uint64(len(b.Msgs)))
-	for _, mm := range b.Msgs {
-		if mm.TC.Sampled() {
-			buf = append(buf, flagTraceContext)
-			buf = binary.AppendUvarint(buf, mm.TC.TraceID)
-			buf = binary.AppendUvarint(buf, mm.TC.SpanID)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.AppendVarint(buf, int64(mm.From))
-		buf = binary.AppendVarint(buf, int64(mm.To))
-		var err error
-		buf, err = appendPayload(buf, mm.Payload, 0)
-		if err != nil {
-			return buf[:start], err
-		}
-	}
-	body := len(buf) - start - 4
-	if body > MaxFrame {
-		return buf[:start], fmt.Errorf("wire: frame body %d exceeds MaxFrame", body)
-	}
-	binary.BigEndian.PutUint32(buf[start:], uint32(body))
-	return buf, nil
+	return appendPayload(buf, m.Payload, at)
 }
 
-// appendPayload writes the type id and body for one payload. depth
-// guards reliable.DataMsg nesting (a session envelope must not wrap
-// another envelope).
-func appendPayload(buf []byte, payload any, depth int) ([]byte, error) {
+// appendPayload writes the type id and body for one payload sitting at
+// position at (see nest).
+func appendPayload(buf []byte, payload any, at nest) ([]byte, error) {
 	switch p := payload.(type) {
 	case core.SubtxnMsg:
 		buf = binary.AppendUvarint(buf, idSubtxn)
@@ -404,12 +369,12 @@ func appendPayload(buf []byte, payload any, depth int) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, idUnlock)
 		return binary.AppendUvarint(buf, uint64(p.Txn)), nil
 	case reliable.DataMsg:
-		if depth > 0 {
+		if at == inSession {
 			return buf, fmt.Errorf("wire: nested reliable.DataMsg")
 		}
 		buf = binary.AppendUvarint(buf, idReliableData)
 		buf = binary.AppendUvarint(buf, p.Seq)
-		return appendPayload(buf, p.Payload, depth+1)
+		return appendPayload(buf, p.Payload, inSession)
 	case reliable.AckMsg:
 		buf = binary.AppendUvarint(buf, idReliableAck)
 		return binary.AppendUvarint(buf, p.CumAck), nil
@@ -446,10 +411,18 @@ func appendPayload(buf []byte, payload any, depth int) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, p.Term)
 		return binary.AppendVarint(buf, int64(p.Node)), nil
 	case transport.BatchMsg:
-		// A BatchMsg is only valid as the whole frame (FormatVersionBatch,
-		// handled by AppendFrame); reaching this switch means it is nested
-		// inside another payload, which the format forbids.
-		return buf, fmt.Errorf("wire: nested BatchMsg")
+		if at != atTop {
+			return buf, fmt.Errorf("wire: nested BatchMsg")
+		}
+		buf = binary.AppendUvarint(buf, idBatch)
+		buf = binary.AppendUvarint(buf, uint64(len(p.Msgs)))
+		for _, m := range p.Msgs {
+			var err error
+			if buf, err = appendMessage(buf, m, inBatch); err != nil {
+				return buf, err
+			}
+		}
+		return buf, nil
 	case core.CountersReqMsg:
 		buf = binary.AppendUvarint(buf, idCountersReq)
 		buf = binary.AppendUvarint(buf, uint64(len(p.Versions)))
@@ -586,77 +559,17 @@ func appendTuple(buf []byte, t model.Tuple) []byte {
 // well-formed message or rejected.
 func DecodeFrame(body []byte) (transport.Message, error) {
 	d := &decoder{b: body}
-	var tc obs.TraceContext
-	switch v := d.byte(); v {
-	case FormatVersion:
-	case FormatVersionTC:
-		flags := d.byte()
-		if d.err == nil && flags&^flagTraceContext != 0 {
-			return transport.Message{}, fmt.Errorf("%w: unknown header flags %#x", ErrVersion, flags)
-		}
-		if flags&flagTraceContext != 0 {
-			tc.TraceID = d.uvarint()
-			tc.SpanID = d.uvarint()
-		}
-	case FormatVersionBatch:
-		return decodeBatchFrame(d)
-	default:
-		if d.err != nil {
-			return transport.Message{}, d.err
-		}
+	if v := d.byte(); d.err == nil && v != FormatVersion {
 		return transport.Message{}, fmt.Errorf("%w: %d", ErrVersion, v)
 	}
-	from := d.varint()
-	to := d.varint()
-	payload := d.payload(0)
+	m := d.message(atTop)
 	if d.err != nil {
 		return transport.Message{}, d.err
 	}
 	if d.off != len(d.b) {
 		return transport.Message{}, fmt.Errorf("%w: %d byte(s)", ErrTrailing, len(d.b)-d.off)
 	}
-	return transport.Message{From: model.NodeID(from), To: model.NodeID(to), Payload: payload, TC: tc}, nil
-}
-
-// decodeBatchFrame parses the remainder of a FormatVersionBatch body
-// (the version byte is already consumed): envelope endpoints, idBatch,
-// member count, then each member's flags/trace-context/endpoints/
-// payload. The envelope carries no trace context of its own.
-func decodeBatchFrame(d *decoder) (transport.Message, error) {
-	from := d.varint()
-	to := d.varint()
-	if id := d.uvarint(); d.err == nil && id != idBatch {
-		return transport.Message{}, fmt.Errorf("wire: batch frame with payload id %d", id)
-	}
-	n := d.count()
-	var msgs []transport.Message
-	if n > 0 {
-		msgs = make([]transport.Message, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		var mtc obs.TraceContext
-		flags := d.byte()
-		if d.err == nil && flags&^flagTraceContext != 0 {
-			return transport.Message{}, fmt.Errorf("%w: unknown member flags %#x", ErrVersion, flags)
-		}
-		if flags&flagTraceContext != 0 {
-			mtc.TraceID = d.uvarint()
-			mtc.SpanID = d.uvarint()
-		}
-		mfrom := d.varint()
-		mto := d.varint()
-		payload := d.payload(0)
-		msgs = append(msgs, transport.Message{
-			From: model.NodeID(mfrom), To: model.NodeID(mto), Payload: payload, TC: mtc,
-		})
-	}
-	if d.err != nil {
-		return transport.Message{}, d.err
-	}
-	if d.off != len(d.b) {
-		return transport.Message{}, fmt.Errorf("%w: %d byte(s)", ErrTrailing, len(d.b)-d.off)
-	}
-	return transport.Message{From: model.NodeID(from), To: model.NodeID(to), Payload: transport.BatchMsg{Msgs: msgs}}, nil
+	return m, nil
 }
 
 // decoder is a cursor over one frame body. The first error sticks; all
@@ -754,7 +667,30 @@ func (d *decoder) count() int {
 	return int(n)
 }
 
-func (d *decoder) payload(depth int) any {
+// message reads one message: flags, optional trace context, endpoints,
+// then the payload.
+func (d *decoder) message(at nest) transport.Message {
+	var m transport.Message
+	flags := d.byte()
+	if d.err == nil && flags&^flagTraceContext != 0 {
+		d.fail(fmt.Errorf("%w: unknown header flags %#x", ErrVersion, flags))
+		return m
+	}
+	if flags&flagTraceContext != 0 {
+		m.TC.TraceID = d.uvarint()
+		m.TC.SpanID = d.uvarint()
+		if d.err == nil && !m.TC.Sampled() {
+			// The encoder sets the flag only for a sampled context.
+			d.fail(fmt.Errorf("wire: trace context flag with zero trace id"))
+		}
+	}
+	m.From = model.NodeID(d.varint())
+	m.To = model.NodeID(d.varint())
+	m.Payload = d.payload(at)
+	return m
+}
+
+func (d *decoder) payload(at nest) any {
 	id := d.uvarint()
 	if d.err != nil {
 		return nil
@@ -837,12 +773,12 @@ func (d *decoder) payload(depth int) any {
 	case idUnlock:
 		return core.UnlockMsg{Txn: model.TxnID(d.uvarint())}
 	case idReliableData:
-		if depth > 0 {
+		if at == inSession {
 			d.fail(fmt.Errorf("wire: nested reliable.DataMsg"))
 			return nil
 		}
 		seq := d.uvarint()
-		inner := d.payload(depth + 1)
+		inner := d.payload(inSession)
 		return reliable.DataMsg{Seq: seq, Payload: inner}
 	case idReliableAck:
 		return reliable.AckMsg{CumAck: d.uvarint()}
@@ -883,11 +819,18 @@ func (d *decoder) payload(depth int) any {
 	case idStaleTerm:
 		return core.StaleTermMsg{Term: d.uvarint(), Node: model.NodeID(d.varint())}
 	case idBatch:
-		// Batches are only valid as the top of a FormatVersionBatch frame
-		// (decoded by decodeBatchFrame); inside any payload position they
-		// would be nesting, which the format forbids.
-		d.fail(fmt.Errorf("wire: nested batch payload"))
-		return nil
+		if at != atTop {
+			d.fail(fmt.Errorf("wire: nested batch payload"))
+			return nil
+		}
+		b := transport.BatchMsg{}
+		if n := d.count(); n > 0 {
+			b.Msgs = make([]transport.Message, n)
+			for i := range b.Msgs {
+				b.Msgs[i] = d.message(inBatch)
+			}
+		}
+		return b
 	case idCountersReq:
 		m := core.CountersReqMsg{}
 		if n := d.count(); n > 0 {

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -80,7 +82,7 @@ func sampleMessages() []transport.Message {
 		{From: 2, To: 0, Payload: reliable.AckMsg{CumAck: 98}},
 		{From: 0, To: 2, Payload: reliable.DataMsg{Seq: 100, Payload: reliable.NoopMsg{}}},
 		{From: 0, To: 2, Payload: reliable.NoopMsg{}},
-		// Traced frames: the version-2 header carries the trace context.
+		// Traced messages: flag bit 0 adds the trace context to the header.
 		{From: 1, To: 2, TC: obs.TraceContext{TraceID: uint64(model.MakeTxnID(1, 12)), SpanID: 1<<62 | 2<<48 | 7}, Payload: core.SubtxnMsg{
 			Txn: model.MakeTxnID(1, 12), Version: 2, Spec: ncSpec, RootNode: 1,
 		}},
@@ -114,8 +116,8 @@ func sampleMessages() []transport.Message {
 		}},
 		{From: 0, To: 1, Payload: core.ReplicateMsg{Part: 0, Term: 2, Seq: 9}}, // empty ops = lease heartbeat
 		{From: 1, To: 0, Payload: core.ReplicateAckMsg{Part: 1, Seq: 42, Node: 1}},
-		// Batched frames: one version-3 envelope, members keep their own
-		// endpoints and trace contexts.
+		// Batched messages: one BatchMsg payload whose members keep their
+		// own endpoints and trace contexts.
 		{From: 0, To: 2, Payload: transport.BatchMsg{Msgs: []transport.Message{
 			{From: 0, To: 2, Payload: reliable.DataMsg{Seq: 7, Payload: core.GCMsg{Keep: 5, Term: 7}}},
 			{From: 0, To: 2, TC: obs.TraceContext{TraceID: 42, SpanID: 43}, Payload: reliable.DataMsg{Seq: 8, Payload: core.UnlockMsg{Txn: 42}}},
@@ -186,109 +188,133 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 	body := good[4:]
 
-	cases := map[string][]byte{
-		"empty":           {},
-		"bad version":     append([]byte{FormatVersionBatch + 1}, body[1:]...),
-		"truncated":       body[:len(body)/2],
-		"trailing":        append(append([]byte{}, body...), 0),
-		"unknown type id": {FormatVersion, 0, 2, 0xFF, 0x7F},
-		// A v2 frame advertising a flag bit we don't know must be
-		// rejected, not half-parsed.
-		"unknown v2 flag": {FormatVersionTC, 0x02, 0, 2, idReliableNoop},
-		"v2 truncated tc": {FormatVersionTC, 0x01, 0x80},
+	// Hand-built bodies. hdr is an untraced message header from node 0 to
+	// node 1: flags 0, From 0, To 1 (zig-zag 2).
+	hdr := []byte{0, 0, 2}
+	frame := func(parts ...[]byte) []byte {
+		b := []byte{FormatVersion}
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
 	}
-	for name, data := range cases {
-		if _, err := DecodeFrame(data); err == nil {
+	noop := []byte{idReliableNoop}
+	batchOf := func(n byte) []byte { return []byte{idBatch, n} }
+	session := func(inner ...byte) []byte { return append([]byte{idReliableData, 1}, inner...) }
+
+	// The well-formed shapes the corrupt rows below are built from.
+	for name, data := range map[string][]byte{
+		"noop":                    frame(hdr, noop),
+		"traced noop":             frame([]byte{flagTraceContext, 42, 43, 0, 2}, noop),
+		"batch of one":            frame(hdr, batchOf(1), hdr, noop),
+		"session envelope":        frame(hdr, session(idReliableNoop)),
+		"member session envelope": frame(hdr, batchOf(1), hdr, session(idReliableNoop)),
+	} {
+		if _, err := DecodeFrame(data); err != nil {
+			t.Fatalf("%s: decode rejected a well-formed frame: %v", name, err)
+		}
+	}
+
+	cases := map[string]struct {
+		data []byte
+		want error // nil: any error will do
+	}{
+		"empty":           {[]byte{}, ErrTruncated},
+		"bad version":     {append([]byte{FormatVersion + 1}, body[1:]...), ErrVersion},
+		"truncated":       {body[:len(body)/2], nil},
+		"trailing":        {append(append([]byte{}, body...), 0), ErrTrailing},
+		"unknown type id": {frame(hdr, []byte{0xFF, 0x7F}), ErrUnknownType},
+		// Every retired generation fails on its version byte, never
+		// half-parsed as the current layout.
+		"generation 1 frame": {[]byte{1, 0, 2, idReliableNoop}, ErrVersion},
+		"generation 2 frame": {[]byte{2, flagTraceContext, 42, 43, 0, 2, idReliableNoop}, ErrVersion},
+		"generation 3 frame": {[]byte{3, 0, 2, idBatch, 1, 0, 0, 2, idReliableNoop}, ErrVersion},
+		// A flag bit we don't know must be rejected, not half-parsed.
+		"unknown top-level flag": {frame([]byte{0x02, 0, 2}, noop), ErrVersion},
+		"unknown member flag":    {frame(hdr, batchOf(1), []byte{0x02, 0, 2}, noop), ErrVersion},
+		"truncated trace ctx":    {frame([]byte{flagTraceContext, 0x80}), ErrTruncated},
+		"unsampled trace ctx":    {frame([]byte{flagTraceContext, 0, 43, 0, 2}, noop), nil},
+		// A batch is valid only as the frame's own payload, and a session
+		// envelope may not wrap another.
+		"batch in a member":                      {frame(hdr, batchOf(1), hdr, batchOf(0)), nil},
+		"batch in a session envelope":            {frame(hdr, session(idBatch, 0)), nil},
+		"session envelope in a session envelope": {frame(hdr, session(idReliableData, 2, idReliableNoop)), nil},
+		"member count past the body":             {frame(hdr, batchOf(2), hdr, noop), nil},
+	}
+	for name, c := range cases {
+		_, err := DecodeFrame(c.data)
+		switch {
+		case err == nil:
 			t.Errorf("%s: decode accepted a corrupt frame", name)
+		case c.want != nil && !errors.Is(err, c.want):
+			t.Errorf("%s: err = %v, want %v", name, err, c.want)
 		}
 	}
 }
 
-// TestHeaderVersionGating pins the compatibility contract: an untraced
-// message emits a version-1 frame byte-identical to the pre-tracing
-// format, and only a sampled trace context switches the header to
-// version 2.
+// TestHeaderVersionGating pins the one header: untraced, traced and
+// batched messages all open with the one version byte, then the same
+// message layout — flags, the trace context only when flag bit 0 is set,
+// endpoints, payload — and a batch member is written exactly as it would
+// be as the frame's own message.
 func TestHeaderVersionGating(t *testing.T) {
 	plain := transport.Message{From: 0, To: 1, Payload: core.GCMsg{Keep: 3}}
-	frame, err := AppendFrame(nil, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame[4] != FormatVersion {
-		t.Fatalf("untraced frame has version %d, want %d", frame[4], FormatVersion)
-	}
-
 	traced := plain
-	traced.TC = obs.TraceContext{TraceID: 9, SpanID: 9}
-	tframe, err := AppendFrame(nil, traced)
-	if err != nil {
-		t.Fatal(err)
+	traced.TC = obs.TraceContext{TraceID: 9, SpanID: 10}
+	batched := transport.Message{From: 0, To: 1, Payload: transport.BatchMsg{Msgs: []transport.Message{plain, traced}}}
+
+	body := func(m transport.Message) []byte {
+		t.Helper()
+		f, err := AppendFrame(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeFrame(f[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m, got) {
+			t.Fatalf("round trip:\n sent %+v\n got  %+v", m, got)
+		}
+		return f[4:]
 	}
-	if tframe[4] != FormatVersionTC {
-		t.Fatalf("traced frame has version %d, want %d", tframe[4], FormatVersionTC)
+	pb, tb, bb := body(plain), body(traced), body(batched)
+
+	if pb[0] != FormatVersion || pb[1] != 0 {
+		t.Fatalf("untraced header = % x, want version %d then flags 0", pb[:2], FormatVersion)
 	}
-	got, err := DecodeFrame(tframe[4:])
-	if err != nil {
-		t.Fatal(err)
+	// Tracing adds flag bit 0 and the two uvarints, nothing else.
+	wantTraced := append([]byte{FormatVersion, flagTraceContext, 9, 10}, pb[2:]...)
+	if !bytes.Equal(tb, wantTraced) {
+		t.Fatalf("traced body = % x, want % x", tb, wantTraced)
 	}
-	if got.TC != traced.TC {
-		t.Fatalf("trace context lost: %+v", got.TC)
-	}
-	// The version-1 body must itself still decode (old peers' frames),
-	// with a zero trace context.
-	old, err := DecodeFrame(frame[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.TC.Sampled() {
-		t.Fatalf("v1 frame decoded with trace context %+v", old.TC)
+	// A batch is the envelope's own untraced header, the batch id and
+	// count, then each member's message bytes.
+	wantBatch := append([]byte{FormatVersion, 0, 0, 2, idBatch, 2}, pb[1:]...)
+	wantBatch = append(wantBatch, tb[1:]...)
+	if !bytes.Equal(bb, wantBatch) {
+		t.Fatalf("batched body = % x, want % x", bb, wantBatch)
 	}
 }
 
-// TestBatchFrameFormat pins the batch framing contract: a BatchMsg
-// payload always emits a version-3 frame, nesting is rejected in both
-// directions (a batch inside a batch on encode, a batch payload id
-// anywhere but the top of a v3 frame on decode), and members may be
-// session envelopes but the members' payloads may not be batches.
+// TestBatchFrameFormat pins the batch contract: a BatchMsg is valid
+// only as the frame's own payload, so encode refuses it anywhere else
+// (decode refusals are rows of TestDecodeRejectsCorruptFrames), while
+// members may be session envelopes and keep their own trace contexts
+// and endpoints.
 func TestBatchFrameFormat(t *testing.T) {
-	batch := transport.Message{From: 0, To: 1, Payload: transport.BatchMsg{Msgs: []transport.Message{
-		{From: 0, To: 1, Payload: core.GCMsg{Keep: 2}},
-	}}}
-	frame, err := AppendFrame(nil, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame[4] != FormatVersionBatch {
-		t.Fatalf("batch frame has version %d, want %d", frame[4], FormatVersionBatch)
-	}
-
-	// Nested batch on encode must be rejected.
-	nested := transport.Message{From: 0, To: 1, Payload: transport.BatchMsg{Msgs: []transport.Message{
-		{From: 0, To: 1, Payload: transport.BatchMsg{}},
-	}}}
-	if _, err := AppendFrame(nil, nested); err == nil {
-		t.Fatal("encode accepted a batch nested inside a batch")
-	}
-
-	// idBatch inside an ordinary (v1) frame must be rejected on decode.
-	v1batch := []byte{FormatVersion, 0, 2, idBatch, 0}
-	if _, err := DecodeFrame(v1batch); err == nil {
-		t.Fatal("decode accepted a batch payload inside a v1 frame")
-	}
-
-	// A v3 frame whose payload id is not idBatch must be rejected.
-	bad := append([]byte{}, frame[4:]...)
-	// [ver][From=0 varint][To=1 varint][id] — id is the 4th byte here.
-	bad[3] = idGC
-	if _, err := DecodeFrame(bad); err == nil {
-		t.Fatal("decode accepted a v3 frame without a batch payload")
-	}
-
-	// A member carrying an unknown flag bit must be rejected.
-	withFlag := append([]byte{}, frame[4:]...)
-	withFlag[5] = 0x02 // member flags byte (after ver, from, to, id, count)
-	if _, err := DecodeFrame(withFlag); err == nil {
-		t.Fatal("decode accepted a batch member with unknown flags")
+	for name, m := range map[string]transport.Message{
+		"batch in a member": {From: 0, To: 1, Payload: transport.BatchMsg{Msgs: []transport.Message{
+			{From: 0, To: 1, Payload: transport.BatchMsg{}},
+		}}},
+		"batch in a session envelope": {From: 0, To: 1, Payload: reliable.DataMsg{Seq: 1, Payload: transport.BatchMsg{}}},
+		"batch in a member's session envelope": {From: 0, To: 1, Payload: transport.BatchMsg{Msgs: []transport.Message{
+			{From: 0, To: 1, Payload: reliable.DataMsg{Seq: 1, Payload: transport.BatchMsg{}}},
+		}}},
+	} {
+		if _, err := AppendFrame(nil, m); err == nil {
+			t.Errorf("%s: encode accepted a nested batch", name)
+		}
 	}
 
 	// Members may target different endpoints than the envelope and keep
@@ -313,7 +339,7 @@ func TestBatchFrameFormat(t *testing.T) {
 func TestDecodeBoundsCollectionLengths(t *testing.T) {
 	// A counter reply claiming 2^40 R entries in a 16-byte body must be
 	// rejected before allocation, not after.
-	body := []byte{FormatVersion, 0, 6, idCounterReply, 2, 34, 0}
+	body := []byte{FormatVersion, 0, 0, 6, idCounterReply, 2, 34, 0}
 	body = append(body, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // uvarint 2^56
 	if _, err := DecodeFrame(body); err == nil {
 		t.Fatal("decode accepted an oversized collection length")

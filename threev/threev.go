@@ -92,8 +92,6 @@ const (
 type Config struct {
 	// Nodes is the number of database nodes (required).
 	Nodes int
-	// Workers is the per-node execution pool width; 0 means 4.
-	Workers int
 	// NonCommuting enables the NC3V extension, admitting transactions
 	// built with Set/Scale that do not commute. It adds commute-lock
 	// acquisition to well-behaved update transactions (never a wait
@@ -130,28 +128,21 @@ type Config struct {
 	// (idempotent) notices to silent nodes on this period; 0 means
 	// never.
 	ResendInterval time.Duration
-	// PollInterval spaces the advancement coordinator's counter sweeps;
-	// 0 means 200µs.
-	PollInterval time.Duration
-	// DisableObs turns the observability layer off entirely (no
-	// histograms, no event log); Obs/ObsEvents then return zero values.
-	DisableObs bool
 	// Batching turns on end-to-end hot-path batching: the network
-	// coalesces each link's frames into batched envelopes per flush
-	// window, the reliable session (when enabled) flushes data in
+	// coalesces each link's frames into batched envelopes per 50µs
+	// flush window, the reliable session (when enabled) flushes data in
 	// batches with piggybacked, delayed acks, node workers admit work
-	// in chunks that share one WAL barrier, and the coordinator's
-	// quiescence sweeps use the batched counter protocol. Defaults:
-	// 50µs flush window, admission chunks of 64 (except under
-	// NonCommuting, where chunked admission is disabled).
+	// in chunks of 64 that share one WAL barrier (except under
+	// NonCommuting, where chunked admission is disabled), and the
+	// coordinator's quiescence sweeps use the batched counter protocol.
 	Batching bool
-	// BatchWindow overrides the batching flush window (0 = the 50µs
-	// default). Only meaningful with Batching set.
-	BatchWindow time.Duration
-	// ExecChunk overrides the admission chunk size (0 = the default of
-	// 64). Only meaningful with Batching set.
-	ExecChunk int
 }
+
+// Batching's flush window and admission chunk size (see Config.Batching).
+const (
+	batchWindow = 50 * time.Microsecond
+	execChunk   = 64
+)
 
 // DB is a running 3V database.
 type DB struct {
@@ -172,38 +163,26 @@ func Open(cfg Config) (*DB, error) {
 		Faults:      cfg.Faults,
 	}
 	rc := cfg.ReliableConfig
-	execChunk := 0
-	batchedCounters := false
+	chunk := 0
 	if cfg.Batching {
-		window := cfg.BatchWindow
-		if window <= 0 {
-			window = 50 * time.Microsecond
-		}
-		nc.BatchWindow = window
+		nc.BatchWindow = batchWindow
 		if cfg.Reliable && rc.FlushInterval <= 0 {
-			rc.FlushInterval = window
+			rc.FlushInterval = batchWindow
 		}
 		if !cfg.NonCommuting {
-			execChunk = cfg.ExecChunk
-			if execChunk <= 0 {
-				execChunk = 64
-			}
+			chunk = execChunk
 		}
-		batchedCounters = true
 	}
 	c, err := core.NewCluster(core.Config{
 		Nodes:           cfg.Nodes,
-		Workers:         cfg.Workers,
 		NCMode:          cfg.NonCommuting,
 		LockWait:        cfg.LockWait,
-		PollInterval:    cfg.PollInterval,
 		Reliable:        cfg.Reliable,
 		ReliableConfig:  rc,
 		AckTimeout:      cfg.AckTimeout,
 		ResendInterval:  cfg.ResendInterval,
-		DisableObs:      cfg.DisableObs,
-		ExecChunk:       execChunk,
-		BatchedCounters: batchedCounters,
+		ExecChunk:       chunk,
+		BatchedCounters: cfg.Batching,
 		NetConfig:       nc,
 	})
 	if err != nil {
@@ -310,12 +289,11 @@ func (db *DB) Metrics() Metrics { return db.cluster.Metrics() }
 
 // Obs returns a snapshot of the observability layer: transaction and
 // per-hop latency quantiles, advancement phase timings, protocol event
-// counters, version gauges and live counter-lag samples. Zero value if
-// the database was opened with DisableObs.
+// counters, version gauges and live counter-lag samples.
 func (db *DB) Obs() ObsSnapshot { return db.cluster.ObsSnapshot() }
 
 // ObsEvents returns the retained structured protocol events
-// (oldest first). Nil if the database was opened with DisableObs.
+// (oldest first).
 func (db *DB) ObsEvents() []ObsEvent { return db.cluster.ObsEvents() }
 
 // AdvanceHistory returns reports of all completed advancement cycles.
