@@ -60,16 +60,14 @@ type Config struct {
 	// PollInterval spaces the coordinator's counter sweeps; 0 means
 	// 200µs.
 	PollInterval time.Duration
-	// SyncExec executes subtransactions inline in the transport
-	// delivery call instead of on the worker pool. Used with the
-	// scripted transport to make replays (the Table 1 trace) fully
-	// deterministic. Must not be combined with NCMode: NC3V
-	// subtransactions block on locks and the read-version wait, which
-	// would deadlock a single-threaded scripted delivery.
-	SyncExec bool
-	// Transport, when non-nil, overrides the network (used by the
-	// scripted trace). Otherwise a live transport.Net is built from
-	// NetConfig (whose Nodes field is filled in automatically).
+	// Transport, when non-nil, overrides the network. Otherwise a live
+	// transport.Net is built from NetConfig (whose Nodes field is filled
+	// in automatically). A *transport.Script makes every node execute
+	// subtransactions inline in the scripted delivery call instead of on
+	// the worker pool, so replays (the Table 1 trace) are fully
+	// deterministic. The scripted transport cannot be combined with
+	// NCMode: NC3V subtransactions block on locks and the read-version
+	// wait, which would deadlock a single-threaded scripted delivery.
 	Transport transport.Network
 	// NetConfig configures the default live network.
 	NetConfig transport.Config
@@ -84,10 +82,10 @@ type Config struct {
 	// Journal, when non-nil, receives the local node's durability
 	// callbacks (command arrival, execution effects, version switches,
 	// GC). Distributed mode with exactly one local node only; requires
-	// Reliable and is incompatible with SyncExec (execution must run on
-	// the worker pool so checkpoint freezes have a lock boundary) and
-	// NCMode. The session layer's own hooks are wired separately through
-	// ReliableConfig.Journal/Restore/Gate.
+	// Reliable and is incompatible with the scripted transport (execution
+	// must run on the worker pool so checkpoint freezes have a lock
+	// boundary) and NCMode. The session layer's own hooks are wired
+	// separately through ReliableConfig.Journal/Restore/Gate.
 	Journal Journal
 	// Restore, when non-nil, rebuilds the local node from recovered
 	// state before Start: store, counters, (vr, vu) and the commands
@@ -124,11 +122,11 @@ type Config struct {
 	// ExecChunk batches the receive side of the hot path: each node
 	// worker wakeup drains up to ExecChunk queued subtransactions and
 	// executes them as one chunk — one checkpoint hold, and (with a
-	// chunk-capable journal) a single WAL barrier covering the whole
-	// chunk, with every member's acknowledgement edges deferred past it.
-	// <= 1 preserves one-at-a-time admission. Incompatible with NCMode
-	// (an NC subtransaction can block on locks mid-chunk, starving the
-	// chunk's tail); ignored under SyncExec.
+	// Journal) a single WAL barrier covering the whole chunk, with every
+	// member's acknowledgement edges deferred past it. <= 1 preserves
+	// one-at-a-time admission. Incompatible with NCMode (an NC
+	// subtransaction can block on locks mid-chunk, starving the chunk's
+	// tail); ignored under the scripted transport, which executes inline.
 	ExecChunk int
 	// BatchedCounters switches the coordinator's quiescence sweeps to
 	// the batched counter protocol (CountersReqMsg out, one CountersMsg
@@ -201,8 +199,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("core: Config.Nodes must be positive, got %d", cfg.Nodes)
 	}
-	if cfg.SyncExec && cfg.NCMode {
-		return nil, fmt.Errorf("core: SyncExec cannot be combined with NCMode")
+	_, scripted := cfg.Transport.(*transport.Script)
+	if scripted && cfg.NCMode {
+		return nil, fmt.Errorf("core: the scripted transport cannot be combined with NCMode")
 	}
 	if cfg.ExecChunk > 1 && cfg.NCMode {
 		return nil, fmt.Errorf("core: ExecChunk cannot be combined with NCMode")
@@ -223,8 +222,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if !cfg.Reliable {
 			return nil, fmt.Errorf("core: Journal/Restore require the reliable session layer")
 		}
-		if cfg.SyncExec {
-			return nil, fmt.Errorf("core: Journal cannot be combined with SyncExec")
+		if scripted {
+			return nil, fmt.Errorf("core: Journal cannot be combined with the scripted transport")
 		}
 	}
 	localSet := map[int]bool{}
@@ -299,7 +298,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			lm.WaitBound = cfg.LockWait
 		}
 		nd := newNode(model.NodeID(i), cfg.Nodes, c.pmap, coordID, c.net, c, cfg.NCMode, cfg.Workers, lm, c.reg)
-		nd.syncExec = cfg.SyncExec
+		nd.inline = scripted
 		nd.chunk = cfg.ExecChunk
 		nd.journal = cfg.Journal
 		if r := cfg.Restore; r != nil {

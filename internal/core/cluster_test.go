@@ -332,7 +332,7 @@ func TestNewClusterRejectsIncompatibleConfigs(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"no nodes", Config{}, "Nodes must be positive"},
-		{"NCMode with SyncExec", Config{Nodes: 3, NCMode: true, SyncExec: true}, "SyncExec cannot be combined with NCMode"},
+		{"NCMode with the scripted transport", Config{Nodes: 3, NCMode: true, Transport: transport.NewScript(4)}, "scripted transport cannot be combined with NCMode"},
 		{"NCMode with ExecChunk", Config{Nodes: 3, NCMode: true, ExecChunk: 2}, "ExecChunk cannot be combined with NCMode"},
 		{"NCMode with Partitions", Config{Nodes: 3, NCMode: true, Partitions: 2}, "Partitions cannot be combined with NCMode"},
 		{"NCMode with Replicate", Config{Nodes: 3, NCMode: true, Replicate: true, Reliable: true}, "Replicate cannot be combined with NCMode"},
@@ -341,7 +341,7 @@ func TestNewClusterRejectsIncompatibleConfigs(t *testing.T) {
 		{"Restore without LocalNodes", Config{Nodes: 3, Restore: restore, Reliable: true}, "exactly one local node"},
 		{"Restore with two local nodes", Config{Nodes: 3, Restore: restore, Reliable: true, LocalNodes: []int{0, 1}, Transport: nw}, "exactly one local node"},
 		{"Restore without Reliable", Config{Nodes: 3, Restore: restore, LocalNodes: []int{0}, Transport: nw}, "Journal/Restore require the reliable session layer"},
-		{"Restore with SyncExec", Config{Nodes: 3, Restore: restore, Reliable: true, SyncExec: true, LocalNodes: []int{0}, Transport: nw}, "Journal cannot be combined with SyncExec"},
+		{"Restore with the scripted transport", Config{Nodes: 3, Restore: restore, Reliable: true, LocalNodes: []int{0}, Transport: transport.NewScript(4)}, "Journal cannot be combined with the scripted transport"},
 		{"LocalNodes without Transport", Config{Nodes: 3, LocalNodes: []int{0}}, "requires an explicit Transport"},
 		{"LocalNodes out of range", Config{Nodes: 3, LocalNodes: []int{7}, Transport: nw}, "id 7 out of range"},
 		{"LocalNodes duplicated", Config{Nodes: 3, LocalNodes: []int{0, 0}, Transport: nw}, "id 0 listed twice"},

@@ -632,14 +632,6 @@ func (c *Coordinator) currentPhase() int {
 	return 0
 }
 
-// currentPhasePart returns the advancement phase in flight on one
-// partition (0 = idle).
-func (c *Coordinator) currentPhasePart(part int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.parts[part].phase
-}
-
 // waitKick waits on the coordinator's cond, but wakes after at most d
 // even if no message arrives (d <= 0: wait indefinitely). Callers hold
 // c.mu.

@@ -23,9 +23,9 @@ import (
 //   - the active manager broadcasts CoordStateMsg heartbeats, mirroring
 //     its term, (vr, vu) and current phase to all standbys;
 //   - a standby whose lease lapses claims the role, journals the term
-//     through the node's TermJournal, and re-drives the in-flight sweep
-//     via Coordinator.Recover — exactly the idempotent ResendInterval
-//     path;
+//     through the node's Journal.CoordTerm, and re-drives the in-flight
+//     sweep via Coordinator.Recover — exactly the idempotent
+//     ResendInterval path;
 //   - the nodes' stale-term fencing (Node.observeTerm) deposes
 //     whichever coordinator loses a race of takeovers.
 

@@ -44,7 +44,7 @@ func TestStaleTermCoordinatorIsFenced(t *testing.T) {
 	// (counting the rejection) and keep accepting term 0 (unfenced
 	// legacy traffic) and the current term.
 	script := transport.NewScript(3)
-	c, err := NewCluster(Config{Nodes: 2, Transport: script, SyncExec: true})
+	c, err := NewCluster(Config{Nodes: 2, Transport: script})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCloseUnwindsRacingTakeover(t *testing.T) {
 	// in-flight takeover with ErrClosed, not deadlock on it.
 	script := transport.NewScript(4) // 2 nodes + 2 coordinator endpoints
 	c, err := NewCluster(Config{
-		Nodes: 2, Transport: script, SyncExec: true, Failover: true,
+		Nodes: 2, Transport: script, Failover: true,
 		FailoverConfig: LeaseConfig{LeaseInterval: 2 * time.Millisecond, LeaseTimeout: 6 * time.Millisecond},
 	})
 	if err != nil {

@@ -19,7 +19,7 @@ func TestAdvanceTimesOutOnSilentNodes(t *testing.T) {
 	// case of a lossy network: without AckTimeout the advancement would
 	// block forever on Phase 1 acks.
 	script := transport.NewScript(3)
-	c, err := NewCluster(Config{Nodes: 2, Transport: script, SyncExec: true, AckTimeout: 30 * time.Millisecond})
+	c, err := NewCluster(Config{Nodes: 2, Transport: script, AckTimeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCloseUnblocksWaitingAdvance(t *testing.T) {
 	// No AckTimeout: the wait would be unbounded (the paper's
 	// behaviour). Close must still unwind it with ErrClosed.
 	script := transport.NewScript(3)
-	c, err := NewCluster(Config{Nodes: 2, Transport: script, SyncExec: true})
+	c, err := NewCluster(Config{Nodes: 2, Transport: script})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestResendRepairsLostPhase1Notice(t *testing.T) {
 	// must repair the loss and the cycle must complete.
 	script := transport.NewScript(3)
 	c, err := NewCluster(Config{
-		Nodes: 2, Transport: script, SyncExec: true,
+		Nodes: 2, Transport: script,
 		PollInterval:   time.Millisecond,
 		ResendInterval: 2 * time.Millisecond,
 		AckTimeout:     10 * time.Second,

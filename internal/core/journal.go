@@ -11,8 +11,8 @@ import (
 // disk or codec dependency: it describes each command and each executed
 // subtransaction's effects to a Journal (implemented by
 // internal/durable over internal/wal + internal/wire), and accepts
-// recovered state back through NodeRestore. With a nil Journal every
-// hook compiles away to the pre-durability behaviour.
+// recovered state back through NodeRestore. With a nil Journal the node
+// skips every hook and runs exactly the pre-durability path.
 //
 // The invariant the hooks thread through the execution path is
 // "nothing acknowledged is ever lost":
@@ -75,20 +75,26 @@ type ExecRecord struct {
 	Local []SubtxnMsg
 }
 
-// Journal receives the node's durability callbacks. Implementations
-// must make Exec, VersionUpdate, VersionRead and GC durable before
-// returning; Enq may be lazy (the reliable session's NoteRecv barrier
-// covers it before the frame is acknowledged).
+// Journal receives the node's durability callbacks. Exec,
+// VersionUpdate, VersionRead, GC, CoordTerm and ReplTerm are durable
+// before they return. Enq, ReplApply and ReplSend are lazy: the first
+// two are covered by the reliable session's NoteRecv barrier before the
+// frame that carried them is acknowledged, and ReplSend by the Exec
+// barrier that releases the replication frames it numbers.
 type Journal interface {
 	// Enq records an arrived subtransaction command and returns its
 	// journal-assigned id.
 	Enq(from model.NodeID, msg SubtxnMsg) uint64
-	// Exec records an execution's effects and transmits its outbox
-	// (child and compensator SubtxnMsgs, in spawn order) — durable
-	// strictly before the first frame leaves. The returned slice has one
-	// journal-assigned enq id per rec.Local entry, in order; the caller
-	// re-enqueues those commands locally.
-	Exec(rec ExecRecord, outbox []transport.Message) []uint64
+	// Exec records a chunk of executions: recs[i] with its outbox
+	// outboxes[i] (child and compensator SubtxnMsgs, in spawn order) for
+	// every i. One durability barrier covers the whole chunk, strictly
+	// before the first frame of any member leaves (group commit). It
+	// returns one id slice per record, aligned with recs: a
+	// journal-assigned enq id per rec.Local entry, in order, which the
+	// caller re-enqueues locally. The node defers every acknowledgement
+	// edge of every member — child transmission, client completion and
+	// the completion-counter increment — until Exec returns.
+	Exec(recs []ExecRecord, outboxes [][]transport.Message) [][]uint64
 	// VersionUpdate records partition part's vu = max(vu, v)
 	// (advancement Phase 1).
 	VersionUpdate(part int, v model.Version)
@@ -98,56 +104,21 @@ type Journal interface {
 	// GC records the truncation of partition part's versions below v
 	// (Phase 4).
 	GC(part int, v model.Version)
-}
-
-// ChunkJournal is an optional Journal extension: implementations that
-// can make a whole chunk of execution records durable under a single
-// barrier. ExecChunk is Exec over recs[i]/outboxes[i] pairs, except
-// that one durability barrier covers every record, and no outbox frame
-// of any member reaches the wire (and no member's returned ids are
-// acted on) before that shared barrier. The invariant "nothing
-// acknowledged is ever lost" is preserved because the node defers
-// every acknowledgement edge of every member — child transmission,
-// client completion, and the completion-counter increment — until
-// ExecChunk returns. Checked by type assertion; a Journal without it
-// simply pays one barrier per record.
-type ChunkJournal interface {
-	// ExecChunk journals recs[i] with child frames outboxes[i] for every
-	// i, makes them durable under one barrier, then transmits. Returns
-	// one id slice per record, aligned with recs (see Journal.Exec).
-	ExecChunk(recs []ExecRecord, outboxes [][]transport.Message) [][]uint64
-}
-
-// TermJournal is an optional Journal extension: implementations that
-// support coordinator failover record the node's highest observed
-// fencing term durably (max-merge on replay), so a restarted node
-// cannot acknowledge a coordinator the cluster fenced off before the
-// crash. Checked by type assertion; a Journal without it simply keeps
-// terms in memory only.
-type TermJournal interface {
-	// CoordTerm records term = max(term, t), durable before return.
+	// CoordTerm records the node's highest observed coordinator fencing
+	// term, term = max(term, t), so a restarted node cannot acknowledge
+	// a coordinator the cluster fenced off before the crash.
 	CoordTerm(t uint64)
-}
-
-// ReplJournal is an optional Journal extension for per-partition
-// replica groups. Implementations journal three things: effect sets a
-// backup applied from its primary's replication stream (ReplApply —
-// lazy, covered by the reliable session's NoteRecv barrier exactly like
-// Enq), the node's replication lease term per partition (ReplTerm —
-// durable before return, max-merge on replay, so a restarted node never
-// acks a deposed primary's stream as current), and the primary's sent
-// replication sequence number per partition (ReplSend — lazy, covered
-// by the Exec barrier that follows it, so a recovered primary never
-// reuses a sequence number a backup already deduped against). Checked
-// by type assertion; a Journal without it replicates from memory only.
-type ReplJournal interface {
-	// ReplApply records that this node applied the effect set (part,
-	// from, seq) at version v with store mutations ops.
+	// ReplApply records that this node, as a backup, applied the
+	// replicated effect set (part, from, seq) at version v with store
+	// mutations ops.
 	ReplApply(part int, from model.NodeID, seq uint64, v model.Version, ops []AppliedOp)
-	// ReplTerm records partition part's replication term = max(term, t),
-	// durable before return.
+	// ReplTerm records partition part's replication lease term =
+	// max(term, t), so a restarted node never acks a deposed primary's
+	// stream as current.
 	ReplTerm(part int, t uint64)
-	// ReplSend records partition part's highest sent replication seq.
+	// ReplSend records partition part's highest sent replication seq, so
+	// a recovered primary never reuses a sequence number a backup already
+	// deduped against.
 	ReplSend(part int, seq uint64)
 }
 
@@ -167,9 +138,6 @@ type PendingSubtxn struct {
 type NodeRestore struct {
 	Store   *storage.Store
 	Pending []PendingSubtxn
-	// NextEnq seeds the journal's enq-id sequence past every recovered
-	// id (informational here; the journal implementation owns it).
-	NextEnq uint64
 	// CoordTerm is the highest coordinator fencing term the node had
 	// durably observed before the crash (0 when failover never ran).
 	CoordTerm uint64

@@ -30,14 +30,6 @@ type observer interface {
 	onNCAbort(txn model.TxnID)
 }
 
-// nopObserver is used when no cluster-level observation is wanted.
-type nopObserver struct{}
-
-func (nopObserver) onSpawn(model.TxnID, int)                                         {}
-func (nopObserver) onDone(model.TxnID, model.NodeID, []model.ReadResult, bool, bool) {}
-func (nopObserver) onVersion(model.TxnID, model.Version)                             {}
-func (nopObserver) onNCAbort(model.TxnID)                                            {}
-
 // NodeMetrics counts protocol events at one node. All fields are
 // cumulative.
 type NodeMetrics struct {
@@ -241,9 +233,9 @@ type Node struct {
 	replApplyHook func(part int)
 
 	// chk excludes subtransaction execution during checkpoint freezes:
-	// workers hold it shared around executeSubtxn so the journaled effect
-	// record and the in-memory mutations it describes always land on the
-	// same side of a checkpoint anchor. Frozen takes it exclusively.
+	// executeChunk holds it shared around a journaled chunk so the effect
+	// records and the in-memory mutations they describe always land on
+	// the same side of a checkpoint anchor. Frozen takes it exclusively.
 	// Unused (never locked) when journal is nil.
 	chk sync.RWMutex
 
@@ -269,13 +261,16 @@ type Node struct {
 	// handleReadVersion.
 	ncParked []parkedNC
 
-	work     *workQueue
-	workers  int
-	syncExec bool
+	work    *workQueue
+	workers int
+	// inline executes each subtransaction in the delivery call instead
+	// of on the worker pool; set exactly when the transport is the
+	// scripted one, whose driver delivers one message at a time.
+	inline bool
 	// chunk is the admission chunk size (Config.ExecChunk): each worker
 	// wakeup drains up to this many queued subtransactions and executes
-	// them under one checkpoint hold and (with a ChunkJournal) one
-	// durability barrier. <= 1 preserves one-at-a-time admission.
+	// them under one checkpoint hold and, when journaled, one durability
+	// barrier. <= 1 preserves one-at-a-time admission.
 	chunk int
 	wg    sync.WaitGroup
 
@@ -341,9 +336,6 @@ func (nd *Node) partOK(part int) bool {
 	return false
 }
 
-// ctab returns the counter table for one partition.
-func (nd *Node) ctab(part int) *counters.Table { return nd.cnts[part] }
-
 // gcPred returns the key filter for one partition's garbage collection,
 // or nil in unpartitioned mode (collect everything).
 func (nd *Node) gcPred(part int) func(string) bool {
@@ -353,9 +345,9 @@ func (nd *Node) gcPred(part int) func(string) bool {
 	return func(key string) bool { return nd.pmap.Of(key) == part }
 }
 
-// start launches the worker pool (skipped in SyncExec mode).
+// start launches the worker pool (skipped when executing inline).
 func (nd *Node) start() {
-	if nd.syncExec {
+	if nd.inline {
 		return
 	}
 	max := nd.chunk
@@ -372,13 +364,7 @@ func (nd *Node) start() {
 				if !ok {
 					return
 				}
-				if nd.journal != nil {
-					nd.chk.RLock()
-					nd.executeChunk(items)
-					nd.chk.RUnlock()
-				} else {
-					nd.executeChunk(items)
-				}
+				nd.executeChunk(items)
 			}
 		}()
 	}
@@ -432,9 +418,6 @@ func (nd *Node) VersionsPart(part int) (vr, vu model.Version) {
 	return nd.pv[part].vr, nd.pv[part].vu
 }
 
-// minVR returns the smallest read version across partitions — the
-// conservative bound used for store-wide trigger quantities (pending
-// items, divergence), whose per-key partition is not tracked there.
 // TermPart returns the highest coordinator fencing term this node has
 // observed for one partition (the operator-surface companion of
 // VersionsPart; threev-node's /state reports it per partition).
@@ -445,6 +428,9 @@ func (nd *Node) TermPart(part int) uint64 {
 	return nd.coordTerms[part].Load()
 }
 
+// minVR returns the smallest read version across partitions — the
+// conservative bound used for store-wide trigger quantities (pending
+// items, divergence), whose per-key partition is not tracked there.
 func (nd *Node) minVR() model.Version {
 	nd.verMu.Lock()
 	defer nd.verMu.Unlock()
@@ -491,10 +477,11 @@ func (nd *Node) handleMessage(m transport.Message) {
 		if m.TC.Sampled() && nd.reg.TraceEnabled() {
 			recvAt = time.Now()
 		}
-		if nd.syncExec {
-			nd.executeSubtxn(m.From, p, enqID, m.TC, recvAt, nil)
+		it := workItem{from: m.From, sub: p, enqID: enqID, tc: m.TC, recvAt: recvAt}
+		if nd.inline {
+			nd.executeChunk([]workItem{it})
 		} else {
-			nd.work.put(workItem{from: m.From, sub: p, enqID: enqID, tc: m.TC, recvAt: recvAt})
+			nd.work.put(it)
 		}
 	case StartAdvancementMsg:
 		if nd.admitPhase(m.From, p.Part, p.Term) {
@@ -635,8 +622,8 @@ func (nd *Node) observeTermAll(t uint64) bool {
 // register, deduplicated through the cross-partition high-water mark.
 func (nd *Node) noteTermHigh(t uint64) {
 	if raised, _ := raiseTerm(&nd.coordTerm, t); raised {
-		if j, ok := nd.journal.(TermJournal); ok {
-			j.CoordTerm(t)
+		if nd.journal != nil {
+			nd.journal.CoordTerm(t)
 		}
 		nd.reg.SetGauge(obs.GaugeCoordTerm, float64(t))
 	}
@@ -656,7 +643,7 @@ func (nd *Node) seedTerm(t uint64) {
 // register space: a partition's replication lease and its coordinator
 // fencing term advance independently, so minting a replica term never
 // fences off a valid coordinator. A term that raises the register is
-// journaled (ReplJournal) before the caller acts on the message that
+// journaled (Journal.ReplTerm) before the caller acts on the message that
 // carried it, so a restarted node cannot re-adopt a deposed primary.
 func (nd *Node) observeReplTerm(part int, t uint64) bool {
 	if t == 0 {
@@ -664,8 +651,8 @@ func (nd *Node) observeReplTerm(part int, t uint64) bool {
 	}
 	raised, ok := raiseTerm(&nd.replTerms[part], t)
 	if raised {
-		if j, jok := nd.journal.(ReplJournal); jok {
-			j.ReplTerm(part, t)
+		if nd.journal != nil {
+			nd.journal.ReplTerm(part, t)
 		}
 	}
 	return ok
@@ -771,10 +758,10 @@ func (nd *Node) handleReplicate(from model.NodeID, p ReplicateMsg) {
 			}
 			release()
 			fr.Store(p.Seq)
-			if j, ok := nd.journal.(ReplJournal); ok {
+			if nd.journal != nil {
 				// Lazy append: the session's NoteRecv barrier after this
 				// handler covers it before the frame is acknowledged.
-				j.ReplApply(p.Part, from, p.Seq, v, p.Ops)
+				nd.journal.ReplApply(p.Part, from, p.Seq, v, p.Ops)
 			}
 			nd.reg.Inc(obs.CtrReplApplies, 1)
 			applied = true
@@ -818,8 +805,8 @@ func (nd *Node) emitReplication(part int, v model.Version, ops []AppliedOp, send
 		return
 	}
 	seq := nd.replSeqs[part].Add(1)
-	if j, ok := nd.journal.(ReplJournal); ok {
-		j.ReplSend(part, seq)
+	if nd.journal != nil {
+		nd.journal.ReplSend(part, seq)
 	}
 	msg := ReplicateMsg{Part: part, Term: nd.replTerms[part].Load(), Seq: seq, Version: v, Ops: ops}
 	for _, owner := range owners {
@@ -986,37 +973,29 @@ type execChunk struct {
 	traced   bool
 }
 
-// executeChunk executes a drained chunk of work items. Without a
-// journal every item runs to completion inline (the chunk only
-// amortized the queue wakeup); with one, the journaled members share a
-// single durability barrier via ChunkJournal when available.
+// executeChunk executes a chunk of work items: one drained by a worker,
+// or a single item delivered inline. Without a journal every item runs
+// to completion in turn (the chunk only amortized the queue wakeup);
+// with one, the chunk holds the checkpoint barrier shared and its
+// members share a single durability barrier (Journal.Exec).
 func (nd *Node) executeChunk(items []workItem) {
-	if nd.journal == nil {
-		for _, it := range items {
-			nd.executeSubtxn(it.from, it.sub, it.enqID, it.tc, it.recvAt, nil)
-		}
-		return
+	var ch *execChunk
+	if nd.journal != nil {
+		nd.chk.RLock()
+		defer nd.chk.RUnlock()
+		ch = &execChunk{}
 	}
-	ch := &execChunk{}
 	for _, it := range items {
 		nd.executeSubtxn(it.from, it.sub, it.enqID, it.tc, it.recvAt, ch)
 	}
-	if len(ch.recs) == 0 {
+	if ch == nil || len(ch.recs) == 0 {
 		return
 	}
 	var t0 time.Time
 	if ch.traced {
 		t0 = time.Now()
 	}
-	var idss [][]uint64
-	if cj, ok := nd.journal.(ChunkJournal); ok && len(ch.recs) > 1 {
-		idss = cj.ExecChunk(ch.recs, ch.outboxes)
-	} else {
-		idss = make([][]uint64, len(ch.recs))
-		for i := range ch.recs {
-			idss[i] = nd.journal.Exec(ch.recs[i], ch.outboxes[i])
-		}
-	}
+	idss := nd.journal.Exec(ch.recs, ch.outboxes)
 	var fsyncD time.Duration
 	var localAt time.Time
 	if ch.traced {
@@ -1030,13 +1009,14 @@ func (nd *Node) executeChunk(items []workItem) {
 	}
 }
 
-// executeSubtxn runs one subtransaction on a worker goroutine. enqID is
-// the journal's id for the command (0 when not journaled); tc and
+// executeSubtxn runs one subtransaction of executeChunk's chunk. enqID
+// is the journal's id for the command (0 when not journaled); tc and
 // recvAt are the envelope's trace context and delivery time (zero when
-// the command is unsampled or tracing is off). A non-nil batch defers
-// the journaled tail — durability barrier, local re-enqueue, span,
-// completion report and C-counter increment — to the caller's chunk
-// (see execChunk); everything the tail needs is captured in a closure.
+// the command is unsampled or tracing is off). batch is non-nil exactly
+// when the node journals: the tail — durability barrier, local
+// re-enqueue, span, completion report and C-counter increment — is then
+// deferred to the chunk (see execChunk), with everything it needs
+// captured in a closure. Otherwise the tail runs before return.
 func (nd *Node) executeSubtxn(from model.NodeID, msg SubtxnMsg, enqID uint64, tc obs.TraceContext, recvAt time.Time, batch *execChunk) {
 	var start time.Time
 	if nd.reg != nil {
@@ -1074,9 +1054,9 @@ func (nd *Node) executeSubtxn(from model.NodeID, msg SubtxnMsg, enqID uint64, tc
 	}
 	// When journaled, the effect record is accumulated alongside the
 	// in-memory mutations and every outgoing frame is held back in the
-	// outbox: journal.Exec makes record and frames durable together,
-	// then transmits. Without a journal, send transmits immediately and
-	// the path is exactly the pre-durability one.
+	// outbox: the chunk's journal.Exec makes records and frames durable
+	// together, then transmits. Without a journal, send transmits
+	// immediately and the path is exactly the pre-durability one.
 	part := msg.Part
 	if part < 0 || part >= nd.nparts {
 		nd.violate("node %v: subtxn %v partition %d out of range (P=%d)", nd.id, msg.Txn, part, nd.nparts)
@@ -1085,7 +1065,7 @@ func (nd *Node) executeSubtxn(from model.NodeID, msg SubtxnMsg, enqID uint64, tc
 	cnt := nd.cnts[part]
 	var rec *ExecRecord
 	var outbox []transport.Message
-	if nd.journal != nil {
+	if batch != nil {
 		rec = &ExecRecord{EnqID: enqID, Txn: msg.Txn, From: from, Root: msg.Root, ReadOnly: msg.ReadOnly, Part: part}
 	}
 	send := func(m transport.Message) {
@@ -1230,7 +1210,7 @@ func (nd *Node) executeSubtxn(from model.NodeID, msg SubtxnMsg, enqID uint64, tc
 
 	// finish is the termination tail: re-enqueue of journaled local
 	// children, trace recording, and the acknowledgement edges (client
-	// completion, C-counter increment). In chunk mode it is deferred
+	// completion, C-counter increment). When journaled it is deferred
 	// until after the chunk's shared durability barrier.
 	finish := func(ids []uint64, fsyncD time.Duration, localAt time.Time) {
 		if rec != nil {
@@ -1241,39 +1221,20 @@ func (nd *Node) executeSubtxn(from model.NodeID, msg SubtxnMsg, enqID uint64, tc
 		nd.finishSubtxn(from, msg, v, part, reads, aborting, traced, tc, spanID, start, wireD, queueD, fsyncD)
 	}
 
-	if batch != nil && rec != nil {
-		// Chunk mode: park the record, its outbox and the tail with the
-		// chunk. Nothing observable has happened yet — children are
-		// unsent, completion unreported, IncC pending — so the chunk's
-		// one barrier covers every acknowledgement edge of every member.
-		batch.recs = append(batch.recs, *rec)
-		batch.outboxes = append(batch.outboxes, outbox)
-		batch.tails = append(batch.tails, finish)
-		if traced {
-			batch.traced = true
-		}
+	if rec == nil {
+		finish(nil, 0, time.Time{})
 		return
 	}
-
-	var fsyncD time.Duration
-	var localAt time.Time
-	var ids []uint64
-	if rec != nil {
-		// Durability barrier: the effect record and its child frames hit
-		// the log before the first child reaches the wire, before the
-		// client observes completion, and before the completion counter
-		// tells the quiescence detector this subtransaction terminated.
-		var t0 time.Time
-		if traced {
-			t0 = time.Now()
-		}
-		ids = nd.journal.Exec(*rec, outbox)
-		if traced {
-			fsyncD = time.Since(t0)
-			localAt = time.Now()
-		}
+	// Journaled: park the record, its outbox and the tail with the
+	// chunk. Nothing observable has happened yet — children are unsent,
+	// completion unreported, IncC pending — so the chunk's one barrier
+	// covers every acknowledgement edge of every member.
+	batch.recs = append(batch.recs, *rec)
+	batch.outboxes = append(batch.outboxes, outbox)
+	batch.tails = append(batch.tails, finish)
+	if traced {
+		batch.traced = true
 	}
-	finish(ids, fsyncD, localAt)
 }
 
 // finishSubtxn is Step 6 plus trace recording: runs strictly after the

@@ -385,7 +385,7 @@ func TestAdvanceKilledMidSweepRecoversEveryPartition(t *testing.T) {
 func TestAdvanceOnSilentNodesTimesOutOnce(t *testing.T) {
 	const nparts, ackTimeout = 4, 500 * time.Millisecond
 	script := transport.NewScript(3) // never delivers
-	c, err := NewCluster(Config{Nodes: 2, Partitions: nparts, Transport: script, SyncExec: true, AckTimeout: ackTimeout})
+	c, err := NewCluster(Config{Nodes: 2, Partitions: nparts, Transport: script, AckTimeout: ackTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}

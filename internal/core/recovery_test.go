@@ -35,7 +35,7 @@ func TestRecoverFinishesInterruptedCycle(t *testing.T) {
 	// deliver the start-advancement notice to only one node, then crash
 	// the coordinator. The successor must finish the cycle.
 	script := transport.NewScript(4)
-	c, err := NewCluster(Config{Nodes: 3, Transport: script, SyncExec: true, PollInterval: time.Millisecond})
+	c, err := NewCluster(Config{Nodes: 3, Transport: script, PollInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRecoverAfterPhase3Interruption(t *testing.T) {
 	// node only, GC never ran. The successor must finish Phase 3
 	// everywhere and garbage-collect.
 	script := transport.NewScript(4)
-	c, err := NewCluster(Config{Nodes: 3, Transport: script, SyncExec: true, PollInterval: time.Millisecond})
+	c, err := NewCluster(Config{Nodes: 3, Transport: script, PollInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestLaggingNodeCaughtUpBeforeNextCycle(t *testing.T) {
 // every phase notice and counter request, and are counted as such.
 func TestProbeResendsCounted(t *testing.T) {
 	script := transport.NewScript(4)
-	c, err := NewCluster(Config{Nodes: 3, Transport: script, SyncExec: true, ResendInterval: 2 * time.Millisecond, AckTimeout: 10 * time.Second})
+	c, err := NewCluster(Config{Nodes: 3, Transport: script, ResendInterval: 2 * time.Millisecond, AckTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestRestoreSnapshotIntoFreshCluster(t *testing.T) {
 func TestExportSnapshotRefusals(t *testing.T) {
 	// In-flight transaction (never delivered on a scripted net).
 	script := transport.NewScript(3)
-	c, err := NewCluster(Config{Nodes: 2, Transport: script, SyncExec: true})
+	c, err := NewCluster(Config{Nodes: 2, Transport: script})
 	if err != nil {
 		t.Fatal(err)
 	}

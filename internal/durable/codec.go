@@ -29,7 +29,7 @@ const (
 
 	recCoordTerm = 9 // t uvarint — coordinator term = max(term, t)
 
-	// Replica-group records (core.ReplJournal).
+	// Replica-group records (Journal.ReplApply/ReplTerm/ReplSend).
 	recRepl     = 10 // part uvarint | from varint | seq uvarint | v uvarint | nops uvarint | (key | op)* — backup applied a replicated effect set
 	recReplTerm = 11 // t uvarint | part uvarint   — replTerm[part] = max(term, t)
 	recReplSeq  = 12 // seq uvarint | part uvarint — replSeq[part] = max(seq, s)

@@ -133,11 +133,11 @@ type DB struct {
 	recv      map[link]uint64 // (to, from) -> nextExpected
 	buf       []byte          // scratch encode buffer
 
-	// Replica-group frontiers (core.ReplJournal), all monotonic:
-	// replTerms[p] is the partition's highest journaled replication
-	// lease term, replSeqs[p] the highest replication seq this node sent
-	// as a primary, replApplied[p][from] the highest seq applied from
-	// sender from's stream as a backup.
+	// Replica-group frontiers (ReplTerm, ReplSend, ReplApply), all
+	// monotonic: replTerms[p] is the partition's highest journaled
+	// replication lease term, replSeqs[p] the highest replication seq
+	// this node sent as a primary, replApplied[p][from] the highest seq
+	// applied from sender from's stream as a backup.
 	replTerms   []uint64
 	replSeqs    []uint64
 	replApplied [][]uint64
@@ -152,11 +152,8 @@ type DB struct {
 
 // The DB is both durability seams at once.
 var (
-	_ core.Journal      = (*DB)(nil)
-	_ core.ChunkJournal = (*DB)(nil)
-	_ core.TermJournal  = (*DB)(nil)
-	_ core.ReplJournal  = (*DB)(nil)
-	_ reliable.Journal  = (*DB)(nil)
+	_ core.Journal     = (*DB)(nil)
+	_ reliable.Journal = (*DB)(nil)
 )
 
 // must is the journal's error policy: a durability failure mid-flight
@@ -209,60 +206,45 @@ func (db *DB) Enq(from model.NodeID, msg core.SubtxnMsg) uint64 {
 	return id
 }
 
-// Exec journals one execution's complete effect set together with the
-// exact child frames it spawns, makes the record durable, and only then
-// releases the frames to the wire. Child frames get their sequence
-// numbers from Session.Prepare, so recovery re-sends byte-identical
-// frames and receivers dedup by seq. Returns one freshly assigned
-// pending id per rec.Local entry.
-func (db *DB) Exec(rec core.ExecRecord, outbox []transport.Message) []uint64 {
+// Exec journals a chunk of executions — each one's complete effect set
+// together with the exact child frames it spawns — makes the whole
+// chunk durable under one log barrier, and only then releases the
+// frames to the wire. Child frames get their sequence numbers from
+// Session.Prepare, so recovery re-sends byte-identical frames and
+// receivers dedup by seq; per-link frame order follows Prepare order.
+// Returns, per record, one freshly assigned pending id per rec.Local
+// entry.
+func (db *DB) Exec(recs []core.ExecRecord, outboxes [][]transport.Message) [][]uint64 {
 	// Sequence numbers are allocated outside db.mu (per-link mutexes).
 	// Two racing Execs on one link can journal in the opposite order of
 	// their seq allocation; a crash in the window leaves a sequence
-	// hole, which recovery plugs with a NoopMsg frame.
-	prepared := make([]reliable.PreparedSend, len(outbox))
-	for i, m := range outbox {
-		prepared[i] = db.session.Prepare(m)
+	// hole, which recovery plugs with a NoopMsg frame. The chunk's
+	// prepared frames sit in one slice, record after record.
+	n := 0
+	for _, outbox := range outboxes {
+		n += len(outbox)
 	}
-
-	db.mu.Lock()
-	ids := db.appendExecLocked(rec, prepared)
-	db.mu.Unlock()
-
-	// Durability barrier, then transmission: the record (and therefore
-	// every frame below) is stable before the first byte reaches a peer.
-	db.must(db.log.Barrier())
-	db.session.CommitPrepared(prepared)
-	return ids
-}
-
-// ExecChunk implements core.ChunkJournal: the whole chunk's records
-// and child frames become durable under one log barrier, then every
-// member's frames are released. Per-link frame order still follows
-// Prepare order, so receivers see the same sequences as N separate
-// Execs would have produced.
-func (db *DB) ExecChunk(recs []core.ExecRecord, outboxes [][]transport.Message) [][]uint64 {
-	prepared := make([][]reliable.PreparedSend, len(recs))
-	for i, outbox := range outboxes {
-		prepared[i] = make([]reliable.PreparedSend, len(outbox))
-		for j, m := range outbox {
-			prepared[i][j] = db.session.Prepare(m)
+	prepared := make([]reliable.PreparedSend, 0, n)
+	for _, outbox := range outboxes {
+		for _, m := range outbox {
+			prepared = append(prepared, db.session.Prepare(m))
 		}
 	}
 
 	db.mu.Lock()
 	idss := make([][]uint64, len(recs))
+	rest := prepared
 	for i := range recs {
-		idss[i] = db.appendExecLocked(recs[i], prepared[i])
+		idss[i] = db.appendExecLocked(recs[i], rest[:len(outboxes[i])])
+		rest = rest[len(outboxes[i]):]
 	}
 	db.mu.Unlock()
 
-	// One barrier covers the chunk; nothing was acknowledged (no child
-	// frame sent, no completion reported) before this point.
+	// Durability barrier, then transmission: every record (and therefore
+	// every frame below) is stable before the first byte reaches a peer;
+	// nothing was acknowledged before this point.
 	db.must(db.log.Barrier())
-	for _, p := range prepared {
-		db.session.CommitPrepared(p)
-	}
+	db.session.CommitPrepared(prepared)
 	return idss
 }
 
@@ -333,10 +315,10 @@ func (db *DB) VersionRead(part int, v model.Version) { db.versionRec(recVR, part
 // durable before the Phase 4 ack.
 func (db *DB) GC(part int, v model.Version) { db.versionRec(recGC, part, v) }
 
-// CoordTerm journals the node's fenced coordinator term (the
-// core.TermJournal extension), durable before any reply under the new
-// term leaves: a restarted node must never accept a message from a
-// coordinator an earlier incarnation already fenced out.
+// CoordTerm journals the node's fenced coordinator term, durable before
+// any reply under the new term leaves: a restarted node must never
+// accept a message from a coordinator an earlier incarnation already
+// fenced out.
 func (db *DB) CoordTerm(t uint64) {
 	db.mu.Lock()
 	if t <= db.coordTerm {
@@ -362,10 +344,6 @@ func (db *DB) versionRec(tag byte, part int, v model.Version) {
 	db.must(err)
 	db.must(db.log.Barrier())
 }
-
-// ---------------------------------------------------------------------
-// core.ReplJournal
-// ---------------------------------------------------------------------
 
 // ReplApply journals a replicated effect set this node applied as a
 // backup. Lazy, like Enq: the frame arrived over the reliable session,
@@ -535,8 +513,8 @@ func b2u8(b bool) byte {
 // Freeze order (deadlock-free by construction): the dispatch gate
 // first — inbound dispatch only enqueues work and never blocks on the
 // worker barrier — then the worker barrier via Frozen, then the DB
-// mutex. Workers hold the barrier shared around executeSubtxn and take
-// the DB mutex inside it, the same order.
+// mutex. Workers hold the barrier shared around each executed chunk
+// and take the DB mutex inside it, the same order.
 func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()

@@ -155,11 +155,12 @@ type proc struct {
 	db      *DB
 }
 
-// startProc boots node id in its own "process". A non-empty dataDir
-// makes it durable: on a fresh directory the node preloads its account
-// and takes the initial anchoring checkpoint; on a recovered directory
-// it restores instead.
-func startProc(t *testing.T, h *hub, id int, dataDir string) *proc {
+// startProc boots node id in its own "process" with admission chunk
+// size chunk (core.Config.ExecChunk). A non-empty dataDir makes it
+// durable: on a fresh directory the node preloads its account and takes
+// the initial anchoring checkpoint; on a recovered directory it restores
+// instead.
+func startProc(t *testing.T, h *hub, id int, dataDir string, chunk int) *proc {
 	t.Helper()
 	p := &proc{id: id, net: h.net()}
 	cfg := core.Config{
@@ -167,6 +168,7 @@ func startProc(t *testing.T, h *hub, id int, dataDir string) *proc {
 		LocalNodes:       []int{id},
 		LocalCoordinator: id == 0,
 		Workers:          2,
+		ExecChunk:        chunk,
 		Transport:        p.net,
 		Reliable:         true,
 		ReliableConfig: reliable.Config{
@@ -270,14 +272,22 @@ func balance(t *testing.T, p *proc) int64 {
 // node killed mid-workload and restarted from its data directory loses
 // nothing its peers could have observed an acknowledgement for, applies
 // nothing twice, and the cluster afterwards completes version
-// advancement with every account in exact agreement.
+// advancement with every account in exact agreement. It runs once with
+// one-record journal chunks and once with chunks of up to 64 records
+// sharing one durability barrier.
 func TestCrashRestartRecovers(t *testing.T) {
+	for _, chunk := range []int{1, 64} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) { crashRestartRecovers(t, chunk) })
+	}
+}
+
+func crashRestartRecovers(t *testing.T, chunk int) {
 	h := newHub()
 	dir := t.TempDir()
 
-	p0 := startProc(t, h, 0, "")
-	p1 := startProc(t, h, 1, "")
-	p2 := startProc(t, h, 2, dir)
+	p0 := startProc(t, h, 0, "", chunk)
+	p1 := startProc(t, h, 1, "", chunk)
+	p2 := startProc(t, h, 2, dir, chunk)
 	defer p0.cluster.Close()
 	defer p1.cluster.Close()
 
@@ -304,7 +314,7 @@ func TestCrashRestartRecovers(t *testing.T) {
 	// workload. Recovery must hand back a state the peers' sessions
 	// agree with: retransmitted children dedup, journaled-but-unexecuted
 	// commands re-run, and the coordinator resyncs the node's versions.
-	p2 = startProc(t, h, 2, dir)
+	p2 = startProc(t, h, 2, dir, chunk)
 	defer p2.cluster.Close()
 	if p2.db == nil {
 		t.Fatal("restart did not recover a durable state")
@@ -352,9 +362,9 @@ func TestRestartIdempotent(t *testing.T) {
 	h := newHub()
 	dir := t.TempDir()
 
-	p0 := startProc(t, h, 0, "")
-	p1 := startProc(t, h, 1, "")
-	p2 := startProc(t, h, 2, dir)
+	p0 := startProc(t, h, 0, "", 1)
+	p1 := startProc(t, h, 1, "", 1)
+	p2 := startProc(t, h, 2, dir, 1)
 	defer p0.cluster.Close()
 	defer p1.cluster.Close()
 
@@ -370,7 +380,7 @@ func TestRestartIdempotent(t *testing.T) {
 		h.detach(p2.net)
 		p2.db.Close()
 		p2.cluster.Close()
-		p2 = startProc(t, h, 2, dir)
+		p2 = startProc(t, h, 2, dir, 1)
 		if got := balance(t, p2); got != 25 {
 			t.Fatalf("restart %d: balance %d, want 25", i, got)
 		}

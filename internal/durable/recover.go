@@ -152,7 +152,6 @@ func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.
 
 	restore := &core.NodeRestore{
 		Store:        rs.store,
-		NextEnq:      rs.nextEnq,
 		CoordTerm:    rs.coordTerm,
 		PartVR:       rs.vrs,
 		PartVU:       rs.vus,

@@ -30,7 +30,6 @@ func confluenceRun(t *testing.T, seed int64) string {
 	c, err := core.NewCluster(core.Config{
 		Nodes:        3,
 		Transport:    script,
-		SyncExec:     true,
 		PollInterval: 100 * time.Microsecond,
 	})
 	if err != nil {

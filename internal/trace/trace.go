@@ -16,9 +16,9 @@
 //   - quiescence detection by asynchronous counter reads, followed by
 //     the read-version switch and garbage collection.
 //
-// Determinism comes from the scripted transport (messages are parked
-// until the replay releases them) plus the cluster's SyncExec mode
-// (subtransactions execute inline during delivery).
+// Determinism comes from the scripted transport: messages are parked
+// until the replay releases them, and a cluster on it executes every
+// subtransaction inline during delivery.
 package trace
 
 import (
@@ -145,7 +145,6 @@ func Replay() (*Result, error) {
 	cluster, err := core.NewCluster(core.Config{
 		Nodes:        3,
 		Transport:    script,
-		SyncExec:     true,
 		PollInterval: time.Millisecond,
 	})
 	if err != nil {
