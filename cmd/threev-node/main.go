@@ -34,16 +34,20 @@
 // through Cluster.SubmitBatch. /state reports the observed
 // mean_batch_size so a driver can assert coalescing actually happened.
 //
-// -replicate makes partition owner groups real: each partition's
-// primary streams every applied commuting update to the other owners
-// over the reliable session, backups apply idempotently (journaling
-// through -data-dir when set), and a per-partition replication lease
+// -replicate makes partition owner groups real: every subtransaction
+// that applies updates in a partition sends them to the partition's
+// other owners as counted replica children over the reliable session
+// (journaled through -data-dir when set), so a completed /advance proves
+// every owner holds the versions it closed, and a per-partition
+// replication lease
 // promotes the next live owner when the primary dies, so the partition
 // stays readable. -repl-lease-interval / -repl-lease-timeout tune the
 // replication lease independently of the coordinator's (the interval
 // defaults to -lease-interval).
 // /workload and /read route through the current (possibly promoted)
-// primary, and /health reports each partition's role and lag.
+// primary, and /health reports each partition's role and lease. A
+// lagging backup shows up in /metrics' threev_counter_lag like any
+// unfinished subtransaction.
 //
 // -trace-sample enables causal tracing: 1 in N transactions carries a
 // trace context across the wire and assembles a full span tree (submit →
@@ -60,9 +64,8 @@
 //	                     array with version/term/lag and the placement map),
 //	                     coordinator role + term, transport stats
 //	/health              JSON: per-partition replica-group status (role,
-//	                     current primary + term, last-heartbeat age,
-//	                     replication frontiers and lag), WAL counters and
-//	                     session link frontiers
+//	                     current primary + term, last-heartbeat age), WAL
+//	                     counters and session link frontiers
 //	/workload?txns=N     run N commuting update trees rooted here (+1 on
 //	                     every process's account, children fan out; with
 //	                     -partitions P > 1, one single-account update per
@@ -243,10 +246,10 @@ type healthLink struct {
 }
 
 // healthReport is the /health response: per-partition replica-group
-// status (role, lease age, replication frontiers and lag), WAL
-// counters, and session link frontiers — everything an operator or a
-// failover gate needs to decide whether this process is a healthy
-// primary, a caught-up backup, or neither.
+// status (role, primary, term, lease age), WAL counters, and session
+// link frontiers — everything an operator or a failover gate needs to
+// decide whether this process is a healthy primary, a backup, or
+// neither.
 type healthReport struct {
 	ID         int                      `json:"id"`
 	Replicate  bool                     `json:"replicate"`
@@ -493,7 +496,7 @@ func main() {
 	ckptInterval := flag.Duration("checkpoint-interval", 2*time.Second, "background checkpoint period with -data-dir")
 	batch := flag.Int("batch", 0, "enable the batched hot path (batched wire frames, chunked admission, batched counter sweeps) and group /workload submissions N at a time (0 = off)")
 	partitions := flag.Int("partitions", 1, "split the keyspace into P partitions, each with its own independently-advancing version pair (same value on every process)")
-	replicate := flag.Bool("replicate", false, "enable per-partition replica groups: the primary of each partition streams applied updates to the other owners, and a replication lease promotes the next owner if the primary dies")
+	replicate := flag.Bool("replicate", false, "enable per-partition replica groups: applied updates reach every owner of their partition as counted replica subtransactions, and a replication lease promotes the next owner if the primary dies")
 	replLeaseInterval := flag.Duration("repl-lease-interval", 0, "replication-lease heartbeat period with -replicate (0 = -lease-interval)")
 	replLeaseTimeout := flag.Duration("repl-lease-timeout", 0, "backup promotion threshold on replication-heartbeat silence with -replicate (0 = -repl-lease-interval x 4)")
 	traceSample := flag.Int("trace-sample", 64, "head-sample 1 in N transactions for causal tracing (1 = every txn, 0 = tracing off)")
@@ -702,9 +705,9 @@ func run(id, nodes int, coordRole string, leaseInterval, leaseTimeout time.Durat
 		}
 	})
 	// Replication crash seams: THREEV_CRASHPOINT=repl-send:K kills the
-	// process after the Kth replication fan-out it emits as a primary,
-	// repl-apply:K after the Kth replicated effect set it applies as a
-	// backup — the replica CI gates' deterministic kill points.
+	// process after the Kth replica fan-out it sends, repl-apply:K after
+	// the Kth replica child it finishes — the replica CI gates'
+	// deterministic kill points.
 	if replicate {
 		cluster.SetReplHooks(
 			func(part int) {

@@ -106,14 +106,14 @@ type Config struct {
 	// the zero value selects defaults.
 	FailoverConfig LeaseConfig
 	// Replicate makes partition owner groups real (see replication.go):
-	// the primary of each partition streams every applied commuting
-	// effect set to the other owners in pmap.OwnerSet(part), backups
-	// apply idempotently (and journal, when a Journal is configured), and
-	// a per-partition replication lease promotes the next live owner when
-	// the primary dies, keeping the partition readable. Requires
-	// Reliable (replication frames ride the session layer's dedup and
-	// FIFO guarantees) and is meaningful only when owner groups have at
-	// least two members (Nodes >= 2).
+	// every subtransaction that applies updates in a partition sends the
+	// applied effect set to the partition's other owners as counted
+	// replica children, so the advancement that closes a version also
+	// proves every owner holds its updates; a per-partition replication
+	// lease promotes the next live owner when the primary dies, keeping
+	// the partition readable. Requires Reliable (a replica child lost on
+	// the network would never be counted complete) and is meaningful
+	// only when owner groups have at least two members (Nodes >= 2).
 	Replicate bool
 	// ReplicaConfig tunes the replication lease when Replicate is set;
 	// the zero value selects defaults. It is a separate lease from the
@@ -210,7 +210,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("core: Partitions cannot be combined with NCMode (NC3V assumes a single global epoch)")
 	}
 	if cfg.Replicate && !cfg.Reliable {
-		return nil, fmt.Errorf("core: Replicate requires the reliable session layer (replication streams depend on its dedup and FIFO delivery)")
+		return nil, fmt.Errorf("core: Replicate requires the reliable session layer (a replica child lost on the network would hold up its version forever)")
 	}
 	if cfg.Replicate && cfg.NCMode {
 		return nil, fmt.Errorf("core: Replicate cannot be combined with NCMode")
@@ -310,7 +310,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				nd.cnts[p] = r.PartCounters[p]
 			}
 			nd.seedTerm(r.CoordTerm)
-			nd.seedRepl(r.ReplTerms, r.ReplSeqs, r.ReplApplied)
+			nd.seedReplTerms(r.ReplTerms)
 		}
 		c.nodes[i] = nd
 		c.net.Register(nd.id, nd.handleMessage)
@@ -324,7 +324,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			r := newReplicator(c, nd)
 			nd.replicate = true
 			nd.onReplBeat = r.noteBeat
-			nd.onReplAck = r.noteAck
 			c.repl[i] = r
 		}
 	}
@@ -468,9 +467,9 @@ func (c *Cluster) CurrentPrimary(part int) model.NodeID {
 }
 
 // ReplicaHealth reports every partition's replica-group status as seen
-// by this process's first local node (role, lease age, stream and
-// applied frontiers) — the payload behind threev-node's /health. Nil
-// unless Config.Replicate.
+// by this process's first local node (role, primary, term, lease age) —
+// the payload behind threev-node's /health. Nil unless
+// Config.Replicate.
 func (c *Cluster) ReplicaHealth() []ReplicaPartHealth {
 	if r := c.localReplicator(); r != nil {
 		return r.health()
@@ -478,8 +477,8 @@ func (c *Cluster) ReplicaHealth() []ReplicaPartHealth {
 	return nil
 }
 
-// SetReplHooks arms callbacks fired after a replication frame is sent
-// (per destination fan-out completes) and after a backup applies one —
+// SetReplHooks arms callbacks fired after a subtransaction's replica
+// fan-out is sent and after a replica child finishes at a backup —
 // the seams the crash harness uses to kill processes at deterministic
 // replication points. Pass nil, nil to disarm. Affects all local nodes.
 func (c *Cluster) SetReplHooks(send, apply func(part int)) {

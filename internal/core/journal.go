@@ -35,15 +35,6 @@ import (
 // journal), and the generalized dual write applies each op to every
 // version ≥ v, so both interleavings produce identical version chains.
 
-// AppliedOp is one durable store mutation of an executed
-// subtransaction: EnsureVersion(Key, rec.Version) followed by
-// ApplyFrom(Key, rec.Version, Op). Abort inverses appear as ordinary
-// AppliedOps after the ops they undo.
-type AppliedOp struct {
-	Key string
-	Op  model.Op
-}
-
 // ExecRecord is the complete effect set of one executed
 // subtransaction — everything recovery must re-apply if the node dies
 // after this record is durable.
@@ -60,12 +51,15 @@ type ExecRecord struct {
 	// recovery restores its counter increments into that partition's
 	// table. Always 0 in unpartitioned deployments.
 	Part int
-	// Ops are the store mutations in application order.
-	Ops []AppliedOp
+	// Ops are the store mutations in application order, each
+	// EnsureVersion(Key, Version) followed by ApplyFrom(Key, Version, Op).
+	// Abort inverses appear after the ops they undo.
+	Ops []model.KeyOp
 	// IncR lists the destinations whose request counter R[Version][self][to]
 	// this execution bumped, in order: the root's self-increment first
-	// (roots only), then one entry per spawned child and compensator.
-	// The completion increment C[Version][From][self] is implied.
+	// (roots only), then one entry per spawned child and compensator,
+	// then one per replica child. The completion increment
+	// C[Version][From][self] is implied.
 	IncR []model.NodeID
 	// Local holds child/compensator commands addressed to this node
 	// itself, in spawn order. They never touch the network: Exec assigns
@@ -77,18 +71,20 @@ type ExecRecord struct {
 
 // Journal receives the node's durability callbacks. Exec,
 // VersionUpdate, VersionRead, GC, CoordTerm and ReplTerm are durable
-// before they return. Enq, ReplApply and ReplSend are lazy: the first
-// two are covered by the reliable session's NoteRecv barrier before the
-// frame that carried them is acknowledged, and ReplSend by the Exec
-// barrier that releases the replication frames it numbers.
+// before they return. Enq is lazy: the reliable session's NoteRecv
+// barrier covers it before the frame that carried the command is
+// acknowledged. Replica children need no callbacks of their own: the
+// sender journals them as outbox frames of its Exec record, the
+// receiver as an Enq and an Exec like any other subtransaction.
 type Journal interface {
 	// Enq records an arrived subtransaction command and returns its
 	// journal-assigned id.
 	Enq(from model.NodeID, msg SubtxnMsg) uint64
 	// Exec records a chunk of executions: recs[i] with its outbox
-	// outboxes[i] (child and compensator SubtxnMsgs, in spawn order) for
-	// every i. One durability barrier covers the whole chunk, strictly
-	// before the first frame of any member leaves (group commit). It
+	// outboxes[i] (child, compensator and replica SubtxnMsgs, in spawn
+	// order) for every i. One durability barrier covers the whole chunk,
+	// strictly before the first frame of any member leaves (group
+	// commit). It
 	// returns one id slice per record, aligned with recs: a
 	// journal-assigned enq id per rec.Local entry, in order, which the
 	// caller re-enqueues locally. The node defers every acknowledgement
@@ -108,18 +104,10 @@ type Journal interface {
 	// term, term = max(term, t), so a restarted node cannot acknowledge
 	// a coordinator the cluster fenced off before the crash.
 	CoordTerm(t uint64)
-	// ReplApply records that this node, as a backup, applied the
-	// replicated effect set (part, from, seq) at version v with store
-	// mutations ops.
-	ReplApply(part int, from model.NodeID, seq uint64, v model.Version, ops []AppliedOp)
 	// ReplTerm records partition part's replication lease term =
-	// max(term, t), so a restarted node never acks a deposed primary's
-	// stream as current.
+	// max(term, t), so a restarted node never adopts a deposed primary
+	// as current.
 	ReplTerm(part int, t uint64)
-	// ReplSend records partition part's highest sent replication seq, so
-	// a recovered primary never reuses a sequence number a backup already
-	// deduped against.
-	ReplSend(part int, seq uint64)
 }
 
 // PendingSubtxn is a command that was journaled (Enq) but whose
@@ -146,13 +134,7 @@ type NodeRestore struct {
 	// Partitions (1 when unpartitioned).
 	PartVR, PartVU []model.Version
 	PartCounters   []*counters.Table
-	// ReplTerms/ReplSeqs/ReplApplied carry the replica-group frontiers
-	// when replication ran before the crash: the highest replication
-	// lease term observed per partition, the highest replication seq
-	// this node sent per partition (as a primary), and the highest seq
-	// applied per partition per sending node (as a backup, the dedup
-	// frontier). Nil when replication never ran.
-	ReplTerms   []uint64
-	ReplSeqs    []uint64
-	ReplApplied [][]uint64
+	// ReplTerms carries the highest replication lease term observed per
+	// partition; nil when replication never ran.
+	ReplTerms []uint64
 }

@@ -62,6 +62,11 @@ type SubtxnMsg struct {
 	// quiescence detection for one partition never waits on another's
 	// traffic. Always 0 in single-partition deployments.
 	Part int
+	// Replica marks a replica child: the effect set a subtransaction
+	// applied in partition Part, shipped as Spec.Updates to another owner
+	// of Part. It is counted in R and C like any child, spawns nothing,
+	// is never re-replicated, and is invisible to transaction handles.
+	Replica bool
 }
 
 // StartAdvancementMsg is the Phase 1 notice: switch the update version
@@ -253,33 +258,13 @@ type StaleTermMsg struct {
 	Node model.NodeID
 }
 
-// ReplicateMsg streams one applied effect set from a partition's
-// primary to the other owners in OwnerSet(part). It rides the reliable
-// session layer, so FIFO order and frame-level dedup come for free; Seq
-// is an additional application-level per-(part, sender) sequence number
-// that lets a backup skip an effect set it already applied durably —
-// the crash window between a backup's WAL append and the session
-// watermark can otherwise replay a frame whose effects are already on
-// disk. Term is the sender's replication lease term for the partition
-// (separate register from the coordinator fencing terms); a message
-// with an empty Ops slice is a pure lease heartbeat. Version is the
-// update version the ops were applied at on the primary; backups clamp
-// it up to their own vr so replication never resurrects a GC'd version.
-type ReplicateMsg struct {
-	Part    int
-	Term    uint64
-	Seq     uint64
-	Version model.Version
-	Ops     []AppliedOp
-}
-
-// ReplicateAckMsg reports a backup's applied replication frontier for
-// one partition back to the primary, which uses it to compute replica
-// lag (sent seq − acked seq) for /health and threev_replica_lag.
-type ReplicateAckMsg struct {
+// ReplBeatMsg is a partition primary's replication lease heartbeat to
+// the partition's other owners. Term is the sender's replication lease
+// term for the partition (a register separate from the coordinator
+// fencing terms). The data itself travels as Replica subtransactions.
+type ReplBeatMsg struct {
 	Part int
-	Seq  uint64
-	Node model.NodeID
+	Term uint64
 }
 
 // SpanReportMsg ships completed trace spans from an executing node home

@@ -212,23 +212,16 @@ type Node struct {
 	onCoordState func(CoordStateMsg)
 
 	// Replica-group state (Config.Replicate). replicate gates the
-	// emission path; replTerms are the per-partition replication lease
+	// replica fan-out; replTerms are the per-partition replication lease
 	// registers (a separate term space from coordTerms — fencing a
-	// replication lease must never fence a valid coordinator); replSeqs
-	// are the per-partition sent-sequence counters this node uses as a
-	// primary; replApplied[part][node] is the applied frontier per
-	// sending node this node uses as a backup to dedup a replication
-	// stream across the session layer's crash window. onReplBeat and
-	// onReplAck relay accepted lease heartbeats and frontier acks to the
-	// co-located replicator; replSendHook/replApplyHook are the chaos
-	// harness's crashpoint seams. All are set before the node's handler
-	// is registered; immutable afterwards.
+	// replication lease must never fence a valid coordinator).
+	// onReplBeat relays accepted lease heartbeats to the co-located
+	// replicator; replSendHook/replApplyHook are the chaos harness's
+	// crashpoint seams. All are set before the node's handler is
+	// registered; immutable afterwards.
 	replicate     bool
 	replTerms     []atomic.Uint64
-	replSeqs      []atomic.Uint64
-	replApplied   [][]atomic.Uint64
 	onReplBeat    func(part int, from model.NodeID, term uint64)
-	onReplAck     func(part int, from model.NodeID, seq uint64)
 	replSendHook  func(part int)
 	replApplyHook func(part int)
 
@@ -314,13 +307,10 @@ func newNode(id model.NodeID, n int, pmap *partition.Map, coordID model.NodeID, 
 		ncPart:     make(map[model.TxnID]*ncPartState),
 	}
 	nd.replTerms = make([]atomic.Uint64, nparts)
-	nd.replSeqs = make([]atomic.Uint64, nparts)
-	nd.replApplied = make([][]atomic.Uint64, nparts)
 	for i := range nd.pv {
 		// Initial state per partition: read version 0, update version 1.
 		nd.pv[i] = verPair{vu: 1, vr: 0}
 		nd.cnts[i] = counters.NewTable(id, n)
-		nd.replApplied[i] = make([]atomic.Uint64, n)
 	}
 	nd.vrCond = sync.NewCond(&nd.verMu)
 	return nd
@@ -530,10 +520,14 @@ func (nd *Node) handleMessage(m transport.Message) {
 		// Addressed to coordinator endpoints; one reaching a node is
 		// stray cross-talk. Fold the term in and drop it.
 		nd.observeTermAll(p.Term)
-	case ReplicateMsg:
-		nd.handleReplicate(m.From, p)
-	case ReplicateAckMsg:
-		nd.handleReplicateAck(p)
+	case ReplBeatMsg:
+		// A current-or-higher term renews the sender's primaryship in the
+		// co-located replicator's lease view.
+		if nd.partOK(p.Part) && nd.observeReplTerm(p.Part, p.Term) {
+			if f := nd.onReplBeat; f != nil {
+				f(p.Part, m.From, p.Term)
+			}
+		}
 	case NCVoteMsg:
 		nd.handleNCVote(p)
 	case NCDecisionMsg:
@@ -667,157 +661,13 @@ func (nd *Node) ReplTermPart(part int) uint64 {
 	return nd.replTerms[part].Load()
 }
 
-// ReplSentSeq returns the highest replication sequence number this node
-// has stamped on its partition-part stream (as a primary).
-func (nd *Node) ReplSentSeq(part int) uint64 {
-	if part < 0 || part >= len(nd.replSeqs) {
-		return 0
-	}
-	return nd.replSeqs[part].Load()
-}
-
-// ReplAppliedSeq returns this node's applied replication frontier for
-// partition part's stream from one sending node (as a backup).
-func (nd *Node) ReplAppliedSeq(part int, from model.NodeID) uint64 {
-	if part < 0 || part >= len(nd.replApplied) || int(from) < 0 || int(from) >= nd.n {
-		return 0
-	}
-	return nd.replApplied[part][from].Load()
-}
-
-// seedRepl installs recovered replica-group frontiers (restart
+// seedReplTerms installs recovered replication lease terms (restart
 // adoption; the journal already holds them).
-func (nd *Node) seedRepl(terms, seqs []uint64, applied [][]uint64) {
+func (nd *Node) seedReplTerms(terms []uint64) {
 	for i := range nd.replTerms {
 		if i < len(terms) {
 			nd.replTerms[i].Store(terms[i])
 		}
-		if i < len(seqs) {
-			nd.replSeqs[i].Store(seqs[i])
-		}
-		if i < len(applied) {
-			for j := range nd.replApplied[i] {
-				if j < len(applied[i]) {
-					nd.replApplied[i][j].Store(applied[i][j])
-				}
-			}
-		}
-	}
-}
-
-// handleReplicate is the backup half of a replica group: apply one
-// effect set streamed by the partition's primary, idempotently, and
-// report the applied frontier back. The reliable session provides FIFO
-// and frame-level dedup; the per-(part, sender) applied frontier adds
-// the app-level guard for the crash window where a backup's WAL holds
-// an applied effect set but the session watermark was not yet durable —
-// on restart the frame is retransmitted and must be skipped, not
-// re-applied (AddOp twice is not idempotent).
-func (nd *Node) handleReplicate(from model.NodeID, p ReplicateMsg) {
-	if !nd.partOK(p.Part) {
-		return
-	}
-	if int(from) < 0 || int(from) >= nd.n {
-		nd.violate("node %v: replicate from non-node endpoint %v", nd.id, from)
-		return
-	}
-	// Lease bookkeeping: a current-or-higher term renews the sender's
-	// primaryship in the co-located replicator's view.
-	if nd.observeReplTerm(p.Part, p.Term) {
-		if f := nd.onReplBeat; f != nil {
-			f(p.Part, from, p.Term)
-		}
-	}
-	// Apply regardless of term: a deposed primary's in-flight ops are
-	// acknowledged updates, and commuting ops merge with the successor's
-	// stream in any order. Fencing arbitrates the lease, not the data.
-	applied := false
-	if len(p.Ops) > 0 {
-		fr := &nd.replApplied[p.Part][from]
-		if p.Seq > fr.Load() {
-			// Clamp the apply version up to the local read version: Phase 4
-			// may have collected versions below vr since the primary sent
-			// this, and ApplyFrom's dual write folds the op into every
-			// version >= the clamp, which is exactly where the update must
-			// survive.
-			nd.maybeAdvanceVU(p.Part, p.Version)
-			nd.verMu.Lock()
-			v := nd.pv[p.Part].vr
-			nd.verMu.Unlock()
-			if p.Version > v {
-				v = p.Version
-			}
-			keys := make([]string, 0, len(p.Ops))
-			for _, op := range p.Ops {
-				keys = append(keys, op.Key)
-			}
-			release := nd.latches.Acquire(keys)
-			for _, op := range p.Ops {
-				nd.store.EnsureVersion(op.Key, v)
-				nd.store.ApplyFrom(op.Key, v, op.Op)
-			}
-			release()
-			fr.Store(p.Seq)
-			if nd.journal != nil {
-				// Lazy append: the session's NoteRecv barrier after this
-				// handler covers it before the frame is acknowledged.
-				nd.journal.ReplApply(p.Part, from, p.Seq, v, p.Ops)
-			}
-			nd.reg.Inc(obs.CtrReplApplies, 1)
-			applied = true
-		}
-	}
-	// Always ack with the local applied frontier — never the message's
-	// seq — so a heartbeat arriving ahead of unapplied data frames can
-	// not fake a caught-up backup in the primary's lag view.
-	nd.net.Send(transport.Message{From: nd.id, To: from, Payload: ReplicateAckMsg{
-		Part: p.Part, Seq: nd.replApplied[p.Part][from].Load(), Node: nd.id,
-	}})
-	if applied {
-		if h := nd.replApplyHook; h != nil {
-			h(p.Part)
-		}
-	}
-}
-
-// handleReplicateAck is the primary half's lag bookkeeping: fold a
-// backup's applied frontier into the replicator's acked view.
-func (nd *Node) handleReplicateAck(p ReplicateAckMsg) {
-	if !nd.partOK(p.Part) {
-		return
-	}
-	nd.reg.Inc(obs.CtrReplAcks, 1)
-	if f := nd.onReplAck; f != nil {
-		f(p.Part, p.Node, p.Seq)
-	}
-}
-
-// emitReplication streams one executed effect set to the partition's
-// other owners. Called by executeSubtxn after local application; frames
-// go through its send closure, so with a journal they ride the Exec
-// barrier's outbox (durable before the wire) exactly like child
-// subtransactions. The sent seq is journaled lazily before Exec's
-// barrier — a recovered primary must never reuse a sequence number a
-// backup may already have deduped against.
-func (nd *Node) emitReplication(part int, v model.Version, ops []AppliedOp, send func(transport.Message)) {
-	owners := nd.pmap.OwnerSet(part)
-	if len(owners) < 2 {
-		return
-	}
-	seq := nd.replSeqs[part].Add(1)
-	if nd.journal != nil {
-		nd.journal.ReplSend(part, seq)
-	}
-	msg := ReplicateMsg{Part: part, Term: nd.replTerms[part].Load(), Seq: seq, Version: v, Ops: ops}
-	for _, owner := range owners {
-		if owner == nd.id {
-			continue
-		}
-		send(transport.Message{From: nd.id, To: owner, Payload: msg})
-		nd.reg.Inc(obs.CtrReplSends, 1)
-	}
-	if h := nd.replSendHook; h != nil {
-		h(part)
 	}
 }
 
@@ -1113,10 +963,9 @@ func (nd *Node) executeSubtxn(from model.NodeID, msg SubtxnMsg, enqID uint64, tc
 
 	spec := msg.Spec
 	aborting := spec.Abort && !msg.ReadOnly
-	// replOps mirrors rec.Ops for the replication stream; kept separate
-	// because replication also runs without a journal (in-process
-	// clusters) where rec is nil.
-	var replOps []AppliedOp
+	// ops are the store mutations applied, abort inverses included: the
+	// effect record's Ops and the replica children's Updates.
+	var ops []model.KeyOp
 
 	// In NC mode, well-behaved update subtransactions take commute
 	// locks (two-phase, released by the asynchronous clean-up). Queries
@@ -1151,14 +1000,9 @@ func (nd *Node) executeSubtxn(from model.NodeID, msg SubtxnMsg, enqID uint64, tc
 		// Step 4: copy-on-update, then apply to all versions ≥ V(T)
 		// (the generalized dual write).
 		if !msg.ReadOnly {
+			ops = spec.Updates
 			for _, u := range spec.Updates {
 				nd.store.EnsureVersion(u.Key, v)
-				if rec != nil {
-					rec.Ops = append(rec.Ops, AppliedOp{Key: u.Key, Op: u.Op})
-				}
-				if nd.replicate {
-					replOps = append(replOps, AppliedOp{Key: u.Key, Op: u.Op})
-				}
 				if n := nd.store.ApplyFrom(u.Key, v, u.Op); n > 1 {
 					nd.metMu.Lock()
 					nd.metrics.DualWrites += int64(n - 1)
@@ -1197,15 +1041,18 @@ func (nd *Node) executeSubtxn(from model.NodeID, msg SubtxnMsg, enqID uint64, tc
 	}
 
 	if aborting {
-		nd.abortSubtree(msg.Txn, v, part, spec, lockOK, rec, &replOps, send, childTC, msg.RootNode)
+		ops = nd.abortSubtree(msg.Txn, v, part, spec, lockOK, ops, rec, send, childTC, msg.RootNode)
 	}
 
-	// Replica groups: stream the applied effect set (inverses included —
-	// an aborted subtree's net effect replicates as-is) to the other
-	// owners of this partition. Riding the send closure means the frames
-	// share the Exec barrier with the effect record when journaled.
-	if nd.replicate && len(replOps) > 0 {
-		nd.emitReplication(part, v, replOps, send)
+	// Replica groups: the applied effect set (inverses included — an
+	// aborted subtree's net effect replicates as-is) goes to the other
+	// owners of this partition as counted version-v children. A replica
+	// child is itself never replicated.
+	if nd.replicate && !msg.Replica && len(ops) > 0 {
+		nd.spawnReplicas(msg.Txn, v, part, ops, rec, send)
+	}
+	if rec != nil {
+		rec.Ops = ops
 	}
 
 	// finish is the termination tail: re-enqueue of journaled local
@@ -1241,6 +1088,16 @@ func (nd *Node) executeSubtxn(from model.NodeID, msg SubtxnMsg, enqID uint64, tc
 // subtransaction's effects are durable (when journaled). It reports
 // completion and only then increments the completion counter.
 func (nd *Node) finishSubtxn(from model.NodeID, msg SubtxnMsg, v model.Version, part int, reads []model.ReadResult, aborting, traced bool, tc obs.TraceContext, spanID uint64, start time.Time, wireD, queueD, fsyncD time.Duration) {
+	if msg.Replica {
+		// Replica children terminate like any subtransaction but are
+		// invisible to handles and transaction metrics.
+		nd.cnts[part].IncC(v, from)
+		nd.reg.Inc(obs.CtrReplApplies, 1)
+		if h := nd.replApplyHook; h != nil {
+			h(part)
+		}
+		return
+	}
 	if traced {
 		// Park the root's stage breakdown for the completion edge, then
 		// record this execution's span — locally when this node is the
@@ -1306,10 +1163,11 @@ func (nd *Node) finishSubtxn(from model.NodeID, msg SubtxnMsg, v model.Version, 
 // compensating subtransaction chasing each spawned child. If applied is
 // false the local updates were never performed (lock timeout) and only
 // the children need compensating — but in that case no children were
-// sent either, so there is nothing to do beyond bookkeeping.
-func (nd *Node) abortSubtree(txn model.TxnID, v model.Version, part int, spec *model.SubtxnSpec, applied bool, rec *ExecRecord, replOps *[]AppliedOp, send func(transport.Message), childTC obs.TraceContext, rootNode model.NodeID) {
+// sent either, so there is nothing to do beyond bookkeeping. It returns
+// ops, the applied ops so far, extended with the inverses it applied.
+func (nd *Node) abortSubtree(txn model.TxnID, v model.Version, part int, spec *model.SubtxnSpec, applied bool, ops []model.KeyOp, rec *ExecRecord, send func(transport.Message), childTC obs.TraceContext, rootNode model.NodeID) []model.KeyOp {
 	if !applied {
-		return
+		return ops
 	}
 	if len(spec.Updates) > 0 {
 		keys := make([]string, 0, len(spec.Updates))
@@ -1317,15 +1175,13 @@ func (nd *Node) abortSubtree(txn model.TxnID, v model.Version, part int, spec *m
 			keys = append(keys, u.Key)
 		}
 		release := nd.latches.Acquire(keys)
+		// Full slice expression: ops aliases spec.Updates, which the
+		// inverses must not overwrite.
+		ops = ops[:len(ops):len(ops)]
 		for _, u := range spec.Updates {
 			if inv := u.Op.Inverse(); inv != nil {
 				nd.store.ApplyFrom(u.Key, v, inv)
-				if rec != nil {
-					rec.Ops = append(rec.Ops, AppliedOp{Key: u.Key, Op: inv})
-				}
-				if nd.replicate {
-					*replOps = append(*replOps, AppliedOp{Key: u.Key, Op: inv})
-				}
+				ops = append(ops, model.KeyOp{Key: u.Key, Op: inv})
 			}
 		}
 		release()
@@ -1349,6 +1205,35 @@ func (nd *Node) abortSubtree(txn model.TxnID, v model.Version, part int, spec *m
 			SentAt:       nd.sendStamp(),
 			Part:         part,
 		}})
+	}
+	return ops
+}
+
+// spawnReplicas is Step 5 for the partition's owner group: one replica
+// child per other owner, carrying the applied ops as its Updates (shared,
+// never copied), with the request counter bumped strictly before each
+// send — into the effect record's IncR when journaled, so a crash keeps
+// or loses the bump together with the effects.
+func (nd *Node) spawnReplicas(txn model.TxnID, v model.Version, part int, ops []model.KeyOp, rec *ExecRecord, send func(transport.Message)) {
+	for _, owner := range nd.pmap.OwnerSet(part) {
+		if owner == nd.id {
+			continue
+		}
+		nd.cnts[part].IncR(v, owner)
+		if rec != nil {
+			rec.IncR = append(rec.IncR, owner)
+		}
+		send(transport.Message{From: nd.id, To: owner, Payload: SubtxnMsg{
+			Txn:     txn,
+			Version: v,
+			Spec:    &model.SubtxnSpec{Node: owner, Updates: ops},
+			Part:    part,
+			Replica: true,
+		}})
+		nd.reg.Inc(obs.CtrReplSends, 1)
+	}
+	if h := nd.replSendHook; h != nil {
+		h(part)
 	}
 }
 

@@ -26,6 +26,5 @@ func init() {
 	transport.RegisterPayloadName(SpanReportMsg{}, "span_report")
 	transport.RegisterPayloadName(CoordStateMsg{}, "coord_state")
 	transport.RegisterPayloadName(StaleTermMsg{}, "stale_term")
-	transport.RegisterPayloadName(ReplicateMsg{}, "replicate")
-	transport.RegisterPayloadName(ReplicateAckMsg{}, "replicate_ack")
+	transport.RegisterPayloadName(ReplBeatMsg{}, "repl_beat")
 }

@@ -29,16 +29,16 @@ const (
 
 	recCoordTerm = 9 // t uvarint — coordinator term = max(term, t)
 
-	// Replica-group records (Journal.ReplApply/ReplTerm/ReplSend).
-	recRepl     = 10 // part uvarint | from varint | seq uvarint | v uvarint | nops uvarint | (key | op)* — backup applied a replicated effect set
-	recReplTerm = 11 // t uvarint | part uvarint   — replTerm[part] = max(term, t)
-	recReplSeq  = 12 // seq uvarint | part uvarint — replSeq[part] = max(seq, s)
+	// Replica children journal as ordinary Enq/Exec records; only the
+	// replication lease term has a record of its own. Tags 10 and 12
+	// are retired and never reused.
+	recReplTerm = 11 // t uvarint | part uvarint — replTerm[part] = max(term, t)
 )
 
 // Checkpoint blob format version: the one generation Checkpoint writes
 // (encodeCheckpointLocked is the layout) and the only one
-// decodeCheckpoint accepts; 1–4 were earlier generations.
-const ckptVersion = 5
+// decodeCheckpoint accepts; 1–5 were earlier generations.
+const ckptVersion = 6
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))

@@ -108,6 +108,26 @@ type sendMirror struct {
 type pendingCmd struct {
 	from model.NodeID
 	msg  core.SubtxnMsg
+	// ord is the command's position among the commands journaled from
+	// its session link (from -> self); 0 when it did not arrive over one.
+	ord uint64
+}
+
+// enqOrd counts one command journaled from from and returns its ord.
+func enqOrd(enqs map[link]uint64, from, self model.NodeID) uint64 {
+	if from == self {
+		return 0 // local roots and children never cross a session link
+	}
+	k := link{from: from, to: self}
+	enqs[k]++
+	return enqs[k]
+}
+
+// unnoted reports whether the delivery run that carried p has not yet
+// journaled its receive watermark: noted[l] is the link's command count
+// as of its last NoteRecv record.
+func (p pendingCmd) unnoted(noted map[link]uint64, self model.NodeID) bool {
+	return p.ord > noted[link{from: p.from, to: self}]
 }
 
 // DB is one node's durability state. It implements both core.Journal
@@ -132,15 +152,15 @@ type DB struct {
 	send      map[link]*sendMirror
 	recv      map[link]uint64 // (to, from) -> nextExpected
 	buf       []byte          // scratch encode buffer
+	// enqs and noted order each command against its delivery run's
+	// receive watermark (see pendingCmd.unnoted); recvd is signalled
+	// whenever NoteRecv advances noted.
+	enqs, noted map[link]uint64
+	recvd       *sync.Cond
 
-	// Replica-group frontiers (ReplTerm, ReplSend, ReplApply), all
-	// monotonic: replTerms[p] is the partition's highest journaled
-	// replication lease term, replSeqs[p] the highest replication seq
-	// this node sent as a primary, replApplied[p][from] the highest seq
-	// applied from sender from's stream as a backup.
-	replTerms   []uint64
-	replSeqs    []uint64
-	replApplied [][]uint64
+	// replTerms[p] is partition p's highest journaled replication lease
+	// term (ReplTerm; monotonic).
+	replTerms []uint64
 
 	node    *core.Node
 	session *reliable.Session
@@ -202,7 +222,7 @@ func (db *DB) Enq(from model.NodeID, msg core.SubtxnMsg) uint64 {
 	db.buf = append(db.buf, frame...)
 	_, err = db.log.Append(db.buf)
 	db.must(err)
-	db.pending[id] = pendingCmd{from: from, msg: msg}
+	db.pending[id] = pendingCmd{from: from, msg: msg, ord: enqOrd(db.enqs, from, db.opts.Self)}
 	return id
 }
 
@@ -232,6 +252,16 @@ func (db *DB) Exec(recs []core.ExecRecord, outboxes [][]transport.Message) [][]u
 	}
 
 	db.mu.Lock()
+	// Each record must follow its command's receive watermark in the log:
+	// a crash between the two would replay the execution and then take
+	// the frame again from the sender's retransmission. The delivery
+	// goroutine appends that watermark (NoteRecv) as soon as its run of
+	// handlers returns.
+	for i := range recs {
+		for db.pending[recs[i].EnqID].unnoted(db.noted, db.opts.Self) {
+			db.recvd.Wait()
+		}
+	}
 	idss := make([][]uint64, len(recs))
 	rest := prepared
 	for i := range recs {
@@ -345,37 +375,9 @@ func (db *DB) versionRec(tag byte, part int, v model.Version) {
 	db.must(db.log.Barrier())
 }
 
-// ReplApply journals a replicated effect set this node applied as a
-// backup. Lazy, like Enq: the frame arrived over the reliable session,
-// so NoteRecv's barrier makes the record durable before the session ack
-// (and the replication ack the handler sent) leaves the process.
-func (db *DB) ReplApply(part int, from model.NodeID, seq uint64, v model.Version, ops []core.AppliedOp) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.buf = append(db.buf[:0], recRepl)
-	db.buf = binary.AppendUvarint(db.buf, uint64(part))
-	db.buf = binary.AppendVarint(db.buf, int64(from))
-	db.buf = binary.AppendUvarint(db.buf, seq)
-	db.buf = binary.AppendUvarint(db.buf, uint64(v))
-	db.buf = binary.AppendUvarint(db.buf, uint64(len(ops)))
-	for _, ap := range ops {
-		db.buf = appendString(db.buf, ap.Key)
-		var err error
-		db.buf, err = wire.AppendOp(db.buf, ap.Op)
-		db.must(err)
-	}
-	_, err := db.log.Append(db.buf)
-	db.must(err)
-	if part >= 0 && part < len(db.replApplied) && int(from) >= 0 && int(from) < len(db.replApplied[part]) {
-		if seq > db.replApplied[part][from] {
-			db.replApplied[part][from] = seq
-		}
-	}
-}
-
 // ReplTerm journals the partition's replication lease term, durable
-// before return: a restarted node must never treat a stream from a
-// primary an earlier incarnation already saw deposed as current.
+// before return: a restarted node must never treat a primary an earlier
+// incarnation already saw deposed as current.
 func (db *DB) ReplTerm(part int, t uint64) {
 	db.mu.Lock()
 	if part < 0 || part >= len(db.replTerms) || t <= db.replTerms[part] {
@@ -390,24 +392,6 @@ func (db *DB) ReplTerm(part int, t uint64) {
 	db.mu.Unlock()
 	db.must(err)
 	db.must(db.log.Barrier())
-}
-
-// ReplSend journals the partition's highest sent replication sequence
-// number. Lazy: the Exec barrier that releases the replication frames
-// to the wire follows immediately, so no backup can have deduped a seq
-// that is not durable here.
-func (db *DB) ReplSend(part int, seq uint64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if part < 0 || part >= len(db.replSeqs) || seq <= db.replSeqs[part] {
-		return
-	}
-	db.replSeqs[part] = seq
-	db.buf = append(db.buf[:0], recReplSeq)
-	db.buf = binary.AppendUvarint(db.buf, seq)
-	db.buf = binary.AppendUvarint(db.buf, uint64(part))
-	_, err := db.log.Append(db.buf)
-	db.must(err)
 }
 
 // ---------------------------------------------------------------------
@@ -441,7 +425,12 @@ func (db *DB) NoteRecv(to, from model.NodeID, nextExpected uint64) {
 	db.buf = binary.AppendVarint(db.buf, int64(from))
 	db.buf = binary.AppendUvarint(db.buf, nextExpected)
 	_, err := db.log.Append(db.buf)
-	db.recv[link{from: from, to: to}] = nextExpected
+	k := link{from: from, to: to}
+	db.recv[k] = nextExpected
+	if db.noted[k] < db.enqs[k] {
+		db.noted[k] = db.enqs[k]
+		db.recvd.Broadcast()
+	}
 	db.mu.Unlock()
 	db.must(err)
 	db.must(db.log.Barrier())
@@ -560,15 +549,10 @@ func (db *DB) encodeCheckpointLocked() []byte {
 		buf = binary.AppendUvarint(buf, uint64(vr))
 		buf = binary.AppendUvarint(buf, uint64(vu))
 	}
-	// Replica-group frontiers — per partition the replication lease
-	// term, sent sequence, and per-sender applied sequence (all zero
-	// when replication never ran).
+	// Per partition the replication lease term (zero when replication
+	// never ran).
 	for p := 0; p < db.opts.Partitions; p++ {
 		buf = binary.AppendUvarint(buf, db.replTerms[p])
-		buf = binary.AppendUvarint(buf, db.replSeqs[p])
-		for q := 0; q < db.opts.Nodes; q++ {
-			buf = binary.AppendUvarint(buf, db.replApplied[p][q])
-		}
 	}
 
 	// Store, streamed shard by shard (no monolithic copy).

@@ -23,6 +23,7 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/reliable"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // hub routes messages between hubNet "processes" by endpoint id.
@@ -410,7 +411,7 @@ func emptyCheckpoint(gen byte, nparts int) []byte {
 		b = append(b, 1, 2) // vr, vu
 	}
 	for p := 0; p < nparts; p++ {
-		b = append(b, 0, 0, 0) // replication term, sent seq, applied seq from node 0
+		b = append(b, 0) // replication term
 	}
 	b = append(b, 0) // store shards
 	for p := 0; p < nparts; p++ {
@@ -427,7 +428,7 @@ func TestDecodeCheckpointRefusesOtherGenerations(t *testing.T) {
 	if _, err := db.decodeCheckpoint(emptyCheckpoint(ckptVersion, 1)); err != nil {
 		t.Fatalf("current generation: %v", err)
 	}
-	for _, ver := range []byte{0, 3, 4, ckptVersion + 1} {
+	for _, ver := range []byte{0, 3, 4, 5, ckptVersion + 1} {
 		_, err := db.decodeCheckpoint(emptyCheckpoint(ver, 1))
 		if want := fmt.Sprintf("unsupported blob version %d", ver); err == nil || err.Error() != want {
 			t.Errorf("blob version %d: err = %v, want %q", ver, err, want)
@@ -456,19 +457,19 @@ func TestReplayRefusesCorruptRecords(t *testing.T) {
 		want    string // "" = recovery must succeed
 	}{
 		{"well-formed", emptyCheckpoint(ckptVersion, nparts),
-			[][]byte{rec(recVU, 3, 1), rec(recVR, 2, 1), rec(recReplSeq, 4, 0)}, ""},
+			[][]byte{rec(recVU, 3, 1), rec(recVR, 2, 1), rec(recReplTerm, 4, 0)}, ""},
 		{"out-of-range partition", emptyCheckpoint(ckptVersion, nparts),
 			[][]byte{rec(recVU, 3, nparts)}, "partition 2 outside [0, 2)"},
 		{"out-of-range replicated partition", emptyCheckpoint(ckptVersion, nparts),
-			[][]byte{rec(recRepl, nparts, 0, 1, 3, 0)}, "partition 2 outside [0, 2)"},
+			[][]byte{rec(recReplTerm, 4, nparts)}, "partition 2 outside [0, 2)"},
 		{"trailing byte", emptyCheckpoint(ckptVersion, nparts),
 			[][]byte{append(rec(recVU, 3, 1), 0)}, "1 trailing byte(s)"},
 		{"truncated record", emptyCheckpoint(ckptVersion, nparts),
 			[][]byte{rec(recRecv, 0)}, "bad varint"},
 		{"record without partition id", emptyCheckpoint(ckptVersion, nparts),
 			[][]byte{rec(recVU, 3)}, "bad uvarint"},
-		{"retired-generation checkpoint", emptyCheckpoint(4, nparts),
-			nil, "unsupported blob version 4"},
+		{"retired-generation checkpoint", emptyCheckpoint(5, nparts),
+			nil, "unsupported blob version 5"},
 		{"trailing byte after checkpoint", append(emptyCheckpoint(ckptVersion, nparts), 0),
 			nil, "1 trailing byte(s)"},
 	}
@@ -511,10 +512,117 @@ func TestReplayRefusesCorruptRecords(t *testing.T) {
 				t.Fatalf("recovery failed: %v", err)
 			}
 			defer db.Close()
-			if restore.PartVU[1] != 3 || restore.PartVR[1] != 2 || restore.PartVU[0] != 2 || restore.ReplSeqs[0] != 4 {
-				t.Fatalf("replayed state vr=%v vu=%v replSeqs=%v, want partition 1 at 2/3 and partition 0's seq 4",
-					restore.PartVR, restore.PartVU, restore.ReplSeqs)
+			if restore.PartVU[1] != 3 || restore.PartVR[1] != 2 || restore.PartVU[0] != 2 || restore.ReplTerms[0] != 4 {
+				t.Fatalf("replayed state vr=%v vu=%v replTerms=%v, want partition 1 at 2/3 and partition 0's term 4",
+					restore.PartVR, restore.PartVU, restore.ReplTerms)
 			}
 		})
+	}
+}
+
+// enqRecord is a recEnq WAL record for a command from node from to node 0.
+func enqRecord(t *testing.T, id uint64, from model.NodeID) []byte {
+	t.Helper()
+	frame, err := wire.AppendFrame(nil, transport.Message{From: from, To: 0, Payload: core.SubtxnMsg{
+		Txn: model.TxnID(id), Version: 1, Spec: &model.SubtxnSpec{Node: 0},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(binary.AppendUvarint([]byte{recEnq}, id), frame...)
+}
+
+// recvRecord is a recRecv WAL record: link from -> 0 delivered up to next.
+func recvRecord(from model.NodeID, next uint64) []byte {
+	b := binary.AppendVarint([]byte{recRecv}, 0)
+	b = binary.AppendVarint(b, int64(from))
+	return binary.AppendUvarint(b, next)
+}
+
+// TestReplayDropsCommandsWithoutWatermark pins recovery's half of the
+// receive-watermark rule: a command from a session link whose delivery
+// run never journaled its watermark was never acknowledged, so its
+// sender retransmits it and replay must not also re-enqueue it. Local
+// commands have no watermark and always survive.
+func TestReplayDropsCommandsWithoutWatermark(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor, err := log.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := emptyCheckpoint(ckptVersion, 1)
+	ckpt[2] = 2 // node 0 of 2
+	if err := log.SaveCheckpoint(anchor, ckpt); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][]byte{
+		enqRecord(t, 1, 1), // watermark follows: kept
+		recvRecord(1, 2),
+		enqRecord(t, 2, 1), // no watermark after it: dropped
+		enqRecord(t, 3, 0), // local: kept
+	} {
+		if _, err := log.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, restore, _, err := Open(Options{Dir: dir, Self: 0, Nodes: 2, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var ids []uint64
+	for _, p := range restore.Pending {
+		ids = append(ids, p.EnqID)
+	}
+	if fmt.Sprint(ids) != "[1 3]" {
+		t.Fatalf("recovered pending commands %v, want [1 3]", ids)
+	}
+}
+
+// TestExecFollowsReceiveWatermark pins the live half: Exec does not
+// journal a command's execution before the receive watermark of the
+// delivery run that carried it, so the log always reads Enq, watermark,
+// execution — a crash can never keep the execution and lose the
+// watermark.
+func TestExecFollowsReceiveWatermark(t *testing.T) {
+	dir := t.TempDir()
+	db, _, _, err := Open(Options{Dir: dir, Self: 0, Nodes: 2, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := db.Enq(1, core.SubtxnMsg{Txn: 7, Version: 1, Spec: &model.SubtxnSpec{Node: 0}})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		db.Exec([]core.ExecRecord{{EnqID: id, Txn: 7, From: 1, Version: 1}}, [][]transport.Message{nil})
+	}()
+	select {
+	case <-done:
+		t.Fatal("Exec journaled the execution before the command's receive watermark")
+	case <-time.After(50 * time.Millisecond):
+	}
+	db.NoteRecv(0, 1, 2)
+	<-done
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var tags []byte
+	if err := wal.Replay(dir, 0, func(body []byte) error {
+		tags = append(tags, body[0])
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{recEnq, recRecv, recExec}; string(tags) != string(want) {
+		t.Fatalf("log record tags %v, want %v", tags, want)
 	}
 }

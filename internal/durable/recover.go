@@ -3,6 +3,7 @@ package durable
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/counters"
@@ -36,12 +37,10 @@ func Open(opts Options) (*DB, *core.NodeRestore, *reliable.SessionState, error) 
 		recv:      make(map[link]uint64),
 		stop:      make(chan struct{}),
 		replTerms: make([]uint64, opts.Partitions),
-		replSeqs:  make([]uint64, opts.Partitions),
+		enqs:      make(map[link]uint64),
+		noted:     make(map[link]uint64),
 	}
-	db.replApplied = make([][]uint64, opts.Partitions)
-	for p := range db.replApplied {
-		db.replApplied[p] = make([]uint64, opts.Nodes)
-	}
+	db.recvd = sync.NewCond(&db.mu)
 
 	seg, blob, found, err := wal.LoadCheckpoint(opts.Dir)
 	if err != nil {
@@ -75,11 +74,10 @@ type replayState struct {
 	pending   map[uint64]pendingCmd
 	send      map[link]*sendMirror
 	recv      map[link]uint64
-
-	// Replica-group frontiers, per partition (see DB's fields).
-	replTerms   []uint64
-	replSeqs    []uint64
-	replApplied [][]uint64
+	replTerms []uint64 // per partition (see DB's field)
+	// enqs/noted as in DB: checkpointed commands count as noted (the
+	// checkpoint holds the dispatch gate), WAL ones from their records.
+	enqs, noted map[link]uint64
 }
 
 // part reads a record's partition id. An id this process was not
@@ -140,15 +138,23 @@ func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.
 		}
 	}
 
+	// A command whose delivery run's watermark never reached the log was
+	// never acknowledged: its sender still holds the frame and will
+	// retransmit it, so replaying the command as well would run it twice.
+	for id, p := range rs.pending {
+		if p.unnoted(rs.noted, db.opts.Self) {
+			delete(rs.pending, id)
+		}
+	}
+
 	// Adopt the rebuilt journal state as the live state.
 	db.pending = rs.pending
+	db.enqs, db.noted = rs.enqs, rs.noted
 	db.nextEnq = rs.nextEnq
 	db.coordTerm = rs.coordTerm
 	db.send = rs.send
 	db.recv = rs.recv
 	db.replTerms = rs.replTerms
-	db.replSeqs = rs.replSeqs
-	db.replApplied = rs.replApplied
 
 	restore := &core.NodeRestore{
 		Store:        rs.store,
@@ -157,8 +163,6 @@ func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.
 		PartVU:       rs.vus,
 		PartCounters: rs.cnts,
 		ReplTerms:    rs.replTerms,
-		ReplSeqs:     rs.replSeqs,
-		ReplApplied:  rs.replApplied,
 	}
 	ids := make([]uint64, 0, len(rs.pending))
 	for id := range rs.pending {
@@ -211,6 +215,8 @@ func (db *DB) decodeCheckpoint(blob []byte) (*replayState, error) {
 		pending: make(map[uint64]pendingCmd),
 		send:    make(map[link]*sendMirror),
 		recv:    make(map[link]uint64),
+		enqs:    make(map[link]uint64),
+		noted:   make(map[link]uint64),
 	}
 	rs.nextEnq = c.uvarint()
 	rs.coordTerm = c.uvarint()
@@ -232,17 +238,9 @@ func (db *DB) decodeCheckpoint(blob []byte) (*replayState, error) {
 		rs.vrs[p] = model.Version(c.uvarint())
 		rs.vus[p] = model.Version(c.uvarint())
 	}
-	// Replica-group frontiers.
 	rs.replTerms = make([]uint64, nparts)
-	rs.replSeqs = make([]uint64, nparts)
-	rs.replApplied = make([][]uint64, nparts)
 	for p := 0; p < nparts && c.err == nil; p++ {
 		rs.replTerms[p] = c.uvarint()
-		rs.replSeqs[p] = c.uvarint()
-		rs.replApplied[p] = make([]uint64, db.opts.Nodes)
-		for q := 0; q < db.opts.Nodes && c.err == nil; q++ {
-			rs.replApplied[p][q] = c.uvarint()
-		}
 	}
 
 	var items []storage.ExportedItem
@@ -333,7 +331,7 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 		if !ok {
 			return fmt.Errorf("enq %d payload is %T", id, m.Payload)
 		}
-		rs.pending[id] = pendingCmd{from: m.From, msg: sub}
+		rs.pending[id] = pendingCmd{from: m.From, msg: sub, ord: enqOrd(rs.enqs, m.From, db.opts.Self)}
 		if id >= rs.nextEnq {
 			rs.nextEnq = id + 1
 		}
@@ -439,45 +437,11 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 			rs.coordTerm = t
 		}
 
-	case recRepl:
-		part := rs.part(c)
-		from := int(c.varint())
-		seq := c.uvarint()
-		ver := model.Version(c.uvarint())
-		type appliedOp struct {
-			key string
-			op  model.Op
-		}
-		var ops []appliedOp
-		for i, n := 0, c.count(); i < n && c.err == nil; i++ {
-			ops = append(ops, appliedOp{key: c.str(), op: c.op()})
-		}
-		if c.err != nil {
-			return c.err
-		}
-		// A replicated apply implies the same implicit vu advancement a
-		// non-root update execution does (the primary executed at ver).
-		if ver > rs.vus[part] {
-			rs.vus[part] = ver
-		}
-		for _, ap := range ops {
-			rs.store.EnsureVersion(ap.key, ver)
-			rs.store.ApplyFrom(ap.key, ver, ap.op)
-		}
-		if from >= 0 && from < len(rs.replApplied[part]) && seq > rs.replApplied[part][from] {
-			rs.replApplied[part][from] = seq
-		}
 	case recReplTerm:
 		t := c.uvarint()
 		part := rs.part(c)
 		if c.err == nil && t > rs.replTerms[part] {
 			rs.replTerms[part] = t
-		}
-	case recReplSeq:
-		seq := c.uvarint()
-		part := rs.part(c)
-		if c.err == nil && seq > rs.replSeqs[part] {
-			rs.replSeqs[part] = seq
 		}
 
 	case recSend:
@@ -491,7 +455,9 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 		from := model.NodeID(c.varint())
 		next := c.uvarint()
 		if c.err == nil {
-			rs.recv[link{from: from, to: to}] = next
+			k := link{from: from, to: to}
+			rs.recv[k] = next
+			rs.noted[k] = rs.enqs[k]
 		}
 	case recAck:
 		from := model.NodeID(c.varint())

@@ -3,6 +3,8 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,8 +25,9 @@ import (
 //   - every acknowledged update stays readable from the promoted
 //     backup while the old primary is gone,
 //   - new updates keep committing through the promoted primary,
-//   - after healing, the deposed primary catches up from the
-//     retransmitted stream and the convergence audit (versions agreed,
+//   - after healing, the first advancement that completes leaves every
+//     owner serving the acknowledged balance at its read version, with
+//     no catch-up wait, and the convergence audit (versions agreed,
 //     counters balanced, per-partition invariants) passes.
 func TestReplicatedKillPartitionPrimary(t *testing.T) {
 	const nparts = 2
@@ -213,34 +216,15 @@ func TestReplicatedKillPartitionPrimary(t *testing.T) {
 		t.Fatalf("convergence audit failed: %v", errs)
 	}
 
-	// The audits above do not wait for the replica streams: the healed
-	// ex-primary may still be applying the promoted backup's stream from
-	// session retransmissions (and the other owners the ex-primary's).
-	// Wait until every owner has applied all that every other owner
-	// sent on partition 1.
-	lagging := func() string {
-		for _, s := range owners {
-			for _, o := range owners {
-				if o == s {
-					continue
-				}
-				if applied, sent := c.Node(int(o)).ReplAppliedSeq(1, s), c.Node(int(s)).ReplSentSeq(1); applied != sent {
-					return fmt.Sprintf("owner %d applied %d of the %d frames owner %d sent", o, applied, sent, s)
-				}
-			}
-		}
-		return ""
-	}
-	catchUp := time.Now().Add(10 * time.Second)
-	for lag := lagging(); lag != ""; lag = lagging() {
-		if time.Now().After(catchUp) {
-			t.Fatalf("partition 1's replica streams not caught up 10s after heal: %s", lag)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// No catch-up wait: the replica applies are counted subtransactions,
+	// so the advancement that just closed their version also proved every
+	// owner holds them. Each owner of partition 1 serves the acknowledged
+	// balance at its own read version straight away.
+	assertOwnersAtVR(t, c, 1, map[string]int64{keys[1]: want[keys[1]]})
 
-	// Read-backs: every owner of partition 1 — including the healed
-	// ex-primary — now serves the full acknowledged balance.
+	// Read-backs through the protocol: every owner of partition 1 —
+	// including the healed ex-primary — serves the same balance to a
+	// query.
 	for _, o := range owners {
 		if got := read(o, keys[1]); got != want[keys[1]] {
 			t.Fatalf("owner %d serves bal %d for %q, want %d after heal", o, got, keys[1], want[keys[1]])
@@ -257,5 +241,128 @@ func TestReplicatedKillPartitionPrimary(t *testing.T) {
 	if snap.Counters["repl_sends"] == 0 || snap.Counters["repl_applies"] == 0 {
 		t.Fatalf("replication counters flat: sends=%d applies=%d",
 			snap.Counters["repl_sends"], snap.Counters["repl_applies"])
+	}
+}
+
+// assertOwnersAtVR requires every owner of partition part to hold
+// want[key] as key's balance at the owner's own read version.
+func assertOwnersAtVR(t *testing.T, c *core.Cluster, part int, want map[string]int64) {
+	t.Helper()
+	for _, o := range c.PlacementMap().OwnerSet(part) {
+		nd := c.Node(int(o))
+		vr, _ := nd.VersionsPart(part)
+		for key, bal := range want {
+			rec, _, ok := nd.Store().ReadMax(key, vr)
+			if !ok || rec.Field("bal") != bal {
+				t.Fatalf("owner %d of partition %d holds %q = %v at vr %d, want bal %d", o, part, key, rec, vr, bal)
+			}
+		}
+	}
+}
+
+// TestReplicatedConcurrentWorkersExactlyOnce pins replicated applies to
+// exactly once with the default worker pool: four nodes, four
+// partitions (every node owns every partition), and thousands of span-2
+// update transactions submitted concurrently, so several workers of one
+// node fan effect sets out to the same backup at once. After two
+// advancements every replica send has been applied, every owner of
+// every partition holds the acknowledged balances at its read version,
+// and the convergence audit is clean.
+func TestReplicatedConcurrentWorkersExactlyOnce(t *testing.T) {
+	const (
+		nodes, nparts = 4, 4
+		groups        = 64
+		submitters    = 8
+		perSubmitter  = 450 // 3 600 transactions in all
+	)
+	c, err := core.NewCluster(core.Config{
+		Nodes:          nodes,
+		Partitions:     nparts,
+		Reliable:       true,
+		Replicate:      true,
+		ResendInterval: 5 * time.Millisecond,
+		AckTimeout:     30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, groups)
+	for g := range keys {
+		keys[g] = fmt.Sprintf("g%03d", g)
+		for n := 0; n < nodes; n++ {
+			rec := model.NewRecord()
+			rec.Fields["bal"] = 0
+			c.Preload(model.NodeID(n), keys[g], rec)
+		}
+	}
+	c.Start()
+	defer c.Close()
+
+	// Each transaction adds its amount at two consecutive nodes, so every
+	// owner must end with twice the acknowledged sum per key.
+	var mu sync.Mutex
+	want := make([]int64, groups)
+	var wg sync.WaitGroup
+	errs := make(chan error, submitters)
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			hs := make([]*core.Handle, 0, perSubmitter)
+			for i := 0; i < perSubmitter; i++ {
+				g, amount := rng.Intn(groups), int64(rng.Intn(500)+1)
+				root := &model.SubtxnSpec{Node: model.NodeID(rng.Intn(nodes))}
+				for j := 0; j < 2; j++ {
+					root.Children = append(root.Children, &model.SubtxnSpec{
+						Node:    model.NodeID((g + j) % nodes),
+						Updates: []model.KeyOp{{Key: keys[g], Op: model.AddOp{Field: "bal", Delta: amount}}},
+					})
+				}
+				h, serr := c.Submit(&model.TxnSpec{Root: root})
+				if serr != nil {
+					errs <- serr
+					return
+				}
+				hs = append(hs, h)
+				mu.Lock()
+				want[g] += 2 * amount
+				mu.Unlock()
+			}
+			for _, h := range hs {
+				if !h.WaitTimeout(60 * time.Second) {
+					errs <- errors.New("update timed out")
+					return
+				}
+			}
+		}(int64(s + 1))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if rep := c.Advance(); rep.Interrupted {
+			t.Fatalf("advancement %d failed: %v", i, rep.Err)
+		}
+	}
+
+	snap := c.ObsSnapshot()
+	if sends, applies := snap.Counters["repl_sends"], snap.Counters["repl_applies"]; sends == 0 || sends != applies {
+		t.Fatalf("replica sends %d, applies %d: want equal and nonzero", sends, applies)
+	}
+	pm := c.PlacementMap()
+	for p := 0; p < nparts; p++ {
+		part := map[string]int64{}
+		for g, key := range keys {
+			if pm.Of(key) == p {
+				part[key] = want[g]
+			}
+		}
+		assertOwnersAtVR(t, c, p, part)
+	}
+	if errs := c.ConvergenceErrors(); len(errs) != 0 {
+		t.Fatalf("convergence audit failed: %v", errs)
 	}
 }

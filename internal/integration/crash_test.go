@@ -40,8 +40,7 @@ func TestCrashRestartThreeProcess(t *testing.T) {
 	// The durable node settles `settled` transactions, then dies on the
 	// crashAt-th cumulative submission — 10 into its second batch.
 	const nodes, txns, settled, crashAt = 3, 40, 20, 30
-	protoAddrs := reserveAddrs(t, nodes)
-	ctrlAddrs := reserveAddrs(t, nodes)
+	protoAddrs, ctrlAddrs := reserveAddrs(t, nodes)
 	dataDir := filepath.Join(t.TempDir(), "node2")
 	peers := ""
 	for i, a := range protoAddrs {

@@ -38,8 +38,7 @@ func TestCoordinatorFailoverThreeProcess(t *testing.T) {
 		phase := phase
 		t.Run(fmt.Sprintf("phase%d", phase), func(t *testing.T) {
 			const nodes, txns = 3, 10
-			protoAddrs := reserveAddrs(t, nodes)
-			ctrlAddrs := reserveAddrs(t, nodes)
+			protoAddrs, ctrlAddrs := reserveAddrs(t, nodes)
 			dataDir := filepath.Join(t.TempDir(), "node0")
 
 			peers := ""

@@ -43,8 +43,7 @@ func runThreeProcessCluster(t *testing.T, batch int) {
 	}
 
 	const nodes, txns = 3, 40
-	protoAddrs := reserveAddrs(t, nodes)
-	ctrlAddrs := reserveAddrs(t, nodes)
+	protoAddrs, ctrlAddrs := reserveAddrs(t, nodes)
 	peers := ""
 	for i, a := range protoAddrs {
 		if i > 0 {
@@ -287,20 +286,37 @@ func runThreeProcessCluster(t *testing.T, batch int) {
 	}
 }
 
-// reserveAddrs picks n free loopback addresses by binding and releasing
-// ephemeral ports. The tiny reuse race is acceptable on a test host.
-func reserveAddrs(t *testing.T, n int) []string {
+// reserveAddrs picks the protocol and control addresses of n processes:
+// 2n free loopback ports, all distinct. Every listener stays bound until
+// the last port is picked, so one call can never hand out a port twice.
+func reserveAddrs(t testing.TB, n int) (proto, ctrl []string) {
 	t.Helper()
-	addrs := make([]string, n)
+	addrs := make([]string, 2*n)
 	for i := range addrs {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer l.Close()
 		addrs[i] = l.Addr().String()
-		l.Close()
 	}
-	return addrs
+	return addrs[:n], addrs[n:]
+}
+
+// TestReserveAddrsNeverRepeatsAPort pins reserveAddrs' contract: no
+// call returns the same port twice across its protocol and control
+// addresses.
+func TestReserveAddrsNeverRepeatsAPort(t *testing.T) {
+	for i := 0; i < 10000; i++ {
+		proto, ctrl := reserveAddrs(t, 3)
+		seen := map[string]bool{}
+		for _, a := range append(proto, ctrl...) {
+			if seen[a] {
+				t.Fatalf("call %d returned %s twice: proto %v, ctrl %v", i, a, proto, ctrl)
+			}
+			seen[a] = true
+		}
+	}
 }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {

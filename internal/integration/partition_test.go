@@ -56,8 +56,7 @@ func TestThreeProcessPartitionedCluster(t *testing.T) {
 	}
 
 	const nodes, nparts, txns = 3, 2, 42
-	protoAddrs := reserveAddrs(t, nodes)
-	ctrlAddrs := reserveAddrs(t, nodes)
+	protoAddrs, ctrlAddrs := reserveAddrs(t, nodes)
 	peers := ""
 	for i, a := range protoAddrs {
 		if i > 0 {

@@ -41,15 +41,11 @@ type replCluster struct {
 type healthView struct {
 	Replicate  bool `json:"replicate"`
 	Partitions []struct {
-		Part          int               `json:"part"`
-		Role          string            `json:"role"`
-		Primary       int               `json:"primary"`
-		Term          uint64            `json:"term"`
-		LastBeatAgeMs int64             `json:"last_beat_age_ms"`
-		SentSeq       uint64            `json:"sent_seq"`
-		Acked         map[string]uint64 `json:"acked"`
-		Applied       map[string]uint64 `json:"applied"`
-		MaxLag        uint64            `json:"max_lag"`
+		Part          int    `json:"part"`
+		Role          string `json:"role"`
+		Primary       int    `json:"primary"`
+		Term          uint64 `json:"term"`
+		LastBeatAgeMs int64  `json:"last_beat_age_ms"`
 	} `json:"partitions"`
 }
 
@@ -71,8 +67,7 @@ func startReplCluster(t *testing.T, race bool, durableID int, crashpoint string)
 		t.Fatalf("building threev-node: %v\n%s", err, out)
 	}
 
-	protoAddrs := reserveAddrs(t, replNodes)
-	ctrlAddrs := reserveAddrs(t, replNodes)
+	protoAddrs, ctrlAddrs := reserveAddrs(t, replNodes)
 	dataDir := filepath.Join(t.TempDir(), fmt.Sprintf("node%d", durableID))
 	peers := ""
 	for i, a := range protoAddrs {
@@ -409,16 +404,15 @@ func TestReplicaFailoverThreeProcess(t *testing.T) {
 
 // TestReplicaBackupKillRecovery is the backup-crash half of the replica
 // story, with the race detector compiled into the node binary: process
-// 2 — a backup owner of partition 1 — journals replicated applies
-// through its WAL and is killed (exit 137) mid-stream on its 4th
-// applied frame while traffic flows. On restart it must recover its
-// store and applied frontier from the WAL and catch up from the
-// session layer's retransmissions without double-applying: frames the
-// WAL already holds are rejected by the recovered per-sender frontier,
-// frames lost in the crash window re-apply against a store that never
-// saw them. The proof is exact — after the old primary is killed and
-// the caught-up backup promoted, it serves precisely the acknowledged
-// balance.
+// 2 — a backup owner of partition 1 — journals replica children
+// through its WAL like any subtransaction and is killed (exit 137) on
+// its 4th finished replica child of partition 1 while traffic flows. On
+// restart it must recover its store and pending commands from the WAL
+// and take the rest from the session layer's retransmissions without
+// double-applying: the recovered receive watermarks drop frames whose
+// commands the WAL already holds. The proof is exact — after the old
+// primary is killed and the backup promoted, it serves precisely the
+// acknowledged balance.
 func TestReplicaBackupKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test skipped in -short mode")
@@ -443,25 +437,11 @@ func TestReplicaBackupKillRecovery(t *testing.T) {
 		t.Errorf("restarted backup did not report recovery:\n%s", rc.logOf(backup))
 	}
 
-	// Catch-up: partition 1's primary must see the restarted backup ack
-	// an applied frontier equal to its sent frontier — replication lag
-	// zero. (Acks carry the backup's local applied frontier, so this is
-	// the applied position, not mere receipt.)
-	waitUntil(t, "restarted backup to catch up", func() bool {
-		var h healthView
-		if err := rc.get(1, "/health", &h); err != nil {
-			return false
-		}
-		for _, p := range h.Partitions {
-			if p.Part == 1 && p.Role == "primary" {
-				return p.SentSeq > 0 && p.Acked[fmt.Sprint(backup)] == p.SentSeq
-			}
-		}
-		return false
-	})
-
 	// Advance so reads see the batch, and record the acknowledged
-	// balance at the current primary.
+	// balance at the current primary. No catch-up wait: replica applies
+	// are counted subtransactions, so a completed advancement is itself
+	// the proof that every owner applied every replica child of the
+	// versions it closed.
 	rc.advanceRetry()
 	want := rc.readOwned(rc.primaryOf(0, 1))["acct1"]
 	if want == 0 {
@@ -472,12 +452,11 @@ func TestReplicaBackupKillRecovery(t *testing.T) {
 	}
 
 	// Kill the primary outright and let the lease promote a survivor.
-	// Whichever backup wins holds a store built purely from idempotent
-	// replicated applies — for process 2, applies recovered from its
-	// WAL plus retransmissions deduped against the recovered frontier —
-	// and must serve exactly the acknowledged balance. One apply lost
-	// in the crash window would read low; one double-applied retransmit
-	// would read high.
+	// Whichever backup wins holds a store built purely from replica
+	// children — for process 2, children recovered from its WAL plus
+	// retransmissions — and must serve exactly the acknowledged balance.
+	// One child lost in the crash window would read low; one
+	// double-applied retransmit would read high.
 	old := rc.procs[1]
 	rc.procs[1] = nil
 	old.Process.Kill()

@@ -22,7 +22,6 @@ const (
 	CtrStaleTermRejects
 	CtrReplSends
 	CtrReplApplies
-	CtrReplAcks
 	CtrPromotions
 	numCounters
 )
@@ -42,7 +41,6 @@ var counterNames = [numCounters]string{
 	"stale_term_rejects",
 	"repl_sends",
 	"repl_applies",
-	"repl_acks",
 	"promotions",
 }
 
@@ -87,15 +85,6 @@ const (
 // global version_read/version_update pair, which track partition 0.
 func PartitionVersionGauge(part int) string {
 	return fmt.Sprintf("partition_version_p%d", part)
-}
-
-// ReplicaLagGauge names the per-partition per-backup replication lag
-// gauge ("replica_lag_p<part>_n<node>", exposed as the labeled
-// threev_replica_lag{part,node} in Prometheus text). A partition's
-// primary publishes one per backup: its sent stream frontier minus the
-// backup's acked applied frontier.
-func ReplicaLagGauge(part, node int) string {
-	return fmt.Sprintf("replica_lag_p%d_n%d", part, node)
 }
 
 // CounterLag is one sampled observation of the quiescence quantity for

@@ -298,25 +298,20 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 // TestReplicationMetricsExposition pins the replica-group metric
-// surface: the per-(partition, backup) lag gauges collapse into one
-// labeled threev_replica_lag metric, and the replication counters land
-// under threev_events_total with their documented event names — all
-// deterministic (no cluster, no clock).
+// surface: the replication counters land under threev_events_total with
+// their documented event names — deterministic (no cluster, no clock).
+// Replica lag has no gauge of its own: replica children are counted
+// subtransactions, so it is part of threev_counter_lag.
 func TestReplicationMetricsExposition(t *testing.T) {
 	r := New(Options{})
 	r.Inc(CtrReplSends, 7)
 	r.Inc(CtrReplApplies, 5)
-	r.Inc(CtrReplAcks, 5)
 	r.Inc(CtrPromotions, 1)
-	r.SetGauge(ReplicaLagGauge(0, 1), 2)
-	r.SetGauge(ReplicaLagGauge(0, 2), 0)
-	r.SetGauge(ReplicaLagGauge(1, 0), 3)
 
 	snap := r.Snapshot()
 	for name, want := range map[string]int64{
 		"repl_sends":   7,
 		"repl_applies": 5,
-		"repl_acks":    5,
 		"promotions":   1,
 	} {
 		if got := snap.Counters[name]; got != want {
@@ -328,25 +323,12 @@ func TestReplicationMetricsExposition(t *testing.T) {
 	WritePrometheus(&sb, snap)
 	out := sb.String()
 	for _, want := range []string{
-		"# TYPE threev_replica_lag gauge",
-		`threev_replica_lag{part="0",node="1"} 2`,
-		`threev_replica_lag{part="0",node="2"} 0`,
-		`threev_replica_lag{part="1",node="0"} 3`,
 		`threev_events_total{event="repl_sends"} 7`,
 		`threev_events_total{event="repl_applies"} 5`,
-		`threev_events_total{event="repl_acks"} 5`,
 		`threev_events_total{event="promotions"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
 		}
-	}
-	// The raw per-gauge form must not leak out beside the labeled one.
-	if strings.Contains(out, "replica_lag_p") {
-		t.Fatalf("exposition leaks raw replica-lag gauge names:\n%s", out)
-	}
-	// The TYPE header is written once, not per sample.
-	if strings.Count(out, "# TYPE threev_replica_lag gauge") != 1 {
-		t.Fatalf("threev_replica_lag TYPE header repeated:\n%s", out)
 	}
 }

@@ -102,7 +102,6 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	}
 	sort.Strings(gnames)
 	wrotePartVer := false
-	wroteReplLag := false
 	for _, k := range gnames {
 		// Per-partition version gauges collapse into one labeled metric.
 		var part int
@@ -112,17 +111,6 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 				wrotePartVer = true
 			}
 			fmt.Fprintf(w, "threev_partition_version{part=\"%d\"} %g\n", part, s.Gauges[k])
-			continue
-		}
-		// Per-(partition, backup) replica lag gauges collapse likewise.
-		var node int
-		if n, err := fmt.Sscanf(k, "replica_lag_p%d_n%d", &part, &node); err == nil && n == 2 {
-			if !wroteReplLag {
-				fmt.Fprintln(w, "# HELP threev_replica_lag Replication frames sent but not yet acked, per (partition, backup).")
-				fmt.Fprintln(w, "# TYPE threev_replica_lag gauge")
-				wroteReplLag = true
-			}
-			fmt.Fprintf(w, "threev_replica_lag{part=\"%d\",node=\"%d\"} %g\n", part, node, s.Gauges[k])
 			continue
 		}
 		fmt.Fprintf(w, "# TYPE threev_%s gauge\n", k)

@@ -52,9 +52,9 @@ import (
 )
 
 // FormatVersion is the frame format generation. Any other version byte
-// is rejected (ErrVersion) — peers must run the same format. Values 1–3
+// is rejected (ErrVersion) — peers must run the same format. Values 1–4
 // were earlier generations and are never reused.
-const FormatVersion = 4
+const FormatVersion = 5
 
 // Message header flag bits.
 const flagTraceContext = 1 << 0
@@ -104,8 +104,8 @@ const (
 	idBatch            = 21
 	idCounters         = 22
 	idCountersReq      = 23
-	idReplicate        = 24
-	idReplicateAck     = 25
+	idReplBeat         = 24
+	// 25 carried the retired replication ack; never reuse it.
 )
 
 // Op kind bytes inside SubtxnSpec updates.
@@ -184,10 +184,8 @@ func TypeName(id uint64) string {
 		return "counters"
 	case idCountersReq:
 		return "counters_req"
-	case idReplicate:
-		return "replicate"
-	case idReplicateAck:
-		return "replicate_ack"
+	case idReplBeat:
+		return "repl_beat"
 	}
 	return ""
 }
@@ -220,8 +218,7 @@ func Prototypes() map[uint64]any {
 		idBatch:            transport.BatchMsg{},
 		idCounters:         core.CountersMsg{},
 		idCountersReq:      core.CountersReqMsg{},
-		idReplicate:        core.ReplicateMsg{},
-		idReplicateAck:     core.ReplicateAckMsg{},
+		idReplBeat:         core.ReplBeatMsg{},
 	}
 }
 
@@ -289,7 +286,7 @@ func appendPayload(buf []byte, payload any, at nest) ([]byte, error) {
 		}
 		buf = binary.AppendVarint(buf, nanos)
 		buf = binary.AppendVarint(buf, int64(p.Part))
-		return buf, nil
+		return appendBool(buf, p.Replica), nil
 	case core.StartAdvancementMsg:
 		buf = binary.AppendUvarint(buf, idStartAdvancement)
 		buf = binary.AppendUvarint(buf, uint64(p.NewVU))
@@ -450,27 +447,10 @@ func appendPayload(buf []byte, payload any, at nest) ([]byte, error) {
 		}
 		buf = binary.AppendVarint(buf, int64(p.Part))
 		return buf, nil
-	case core.ReplicateMsg:
-		buf = binary.AppendUvarint(buf, idReplicate)
+	case core.ReplBeatMsg:
+		buf = binary.AppendUvarint(buf, idReplBeat)
 		buf = binary.AppendVarint(buf, int64(p.Part))
-		buf = binary.AppendUvarint(buf, p.Term)
-		buf = binary.AppendUvarint(buf, p.Seq)
-		buf = binary.AppendUvarint(buf, uint64(p.Version))
-		buf = binary.AppendUvarint(buf, uint64(len(p.Ops)))
-		for _, op := range p.Ops {
-			buf = appendString(buf, op.Key)
-			var err error
-			buf, err = appendOp(buf, op.Op)
-			if err != nil {
-				return buf, err
-			}
-		}
-		return buf, nil
-	case core.ReplicateAckMsg:
-		buf = binary.AppendUvarint(buf, idReplicateAck)
-		buf = binary.AppendVarint(buf, int64(p.Part))
-		buf = binary.AppendUvarint(buf, p.Seq)
-		return binary.AppendVarint(buf, int64(p.Node)), nil
+		return binary.AppendUvarint(buf, p.Term), nil
 	}
 	return buf, fmt.Errorf("%w: %T", ErrUnknownType, payload)
 }
@@ -714,6 +694,7 @@ func (d *decoder) payload(at nest) any {
 			m.SentAt = time.Unix(0, nanos)
 		}
 		m.Part = int(d.varint())
+		m.Replica = d.bool()
 		return m
 	case idStartAdvancement:
 		return core.StartAdvancementMsg{NewVU: model.Version(d.uvarint()), Term: d.uvarint(), Part: int(d.varint())}
@@ -869,23 +850,8 @@ func (d *decoder) payload(at nest) any {
 		}
 		m.Part = int(d.varint())
 		return m
-	case idReplicate:
-		m := core.ReplicateMsg{
-			Part:    int(d.varint()),
-			Term:    d.uvarint(),
-			Seq:     d.uvarint(),
-			Version: model.Version(d.uvarint()),
-		}
-		if n := d.count(); n > 0 {
-			m.Ops = make([]core.AppliedOp, n)
-			for i := range m.Ops {
-				m.Ops[i].Key = d.string()
-				m.Ops[i].Op = d.op()
-			}
-		}
-		return m
-	case idReplicateAck:
-		return core.ReplicateAckMsg{Part: int(d.varint()), Seq: d.uvarint(), Node: model.NodeID(d.varint())}
+	case idReplBeat:
+		return core.ReplBeatMsg{Part: int(d.varint()), Term: d.uvarint()}
 	}
 	d.fail(fmt.Errorf("%w: id %d", ErrUnknownType, id))
 	return nil

@@ -107,15 +107,22 @@ func sampleMessages() []transport.Message {
 			},
 		}},
 		{From: 0, To: 3, Payload: core.CountersMsg{Round: 18, Node: 0}}, // no entries
-		{From: 0, To: 1, Payload: core.ReplicateMsg{
-			Part: 1, Term: 5, Seq: 42, Version: 3,
-			Ops: []core.AppliedOp{
+		{From: 0, To: 1, Payload: core.SubtxnMsg{
+			Txn: model.MakeTxnID(0, 3), Version: 3, Part: 1, Replica: true,
+			Spec: &model.SubtxnSpec{Node: 1, Updates: []model.KeyOp{
 				{Key: "acct:1", Op: model.AddOp{Field: "bal", Delta: 7}},
 				{Key: "acct:2", Op: model.AppendOp{T: model.Tuple{Txn: model.MakeTxnID(0, 3), Part: 1, Total: 1, Attr: "bal", Amount: 7, TxnVersion: 3}}},
-			},
+			}},
 		}},
-		{From: 0, To: 1, Payload: core.ReplicateMsg{Part: 0, Term: 2, Seq: 9}}, // empty ops = lease heartbeat
-		{From: 1, To: 0, Payload: core.ReplicateAckMsg{Part: 1, Seq: 42, Node: 1}},
+		// An aborted subtree replicates its ops and their inverses as-is.
+		{From: 2, To: 0, Payload: core.SubtxnMsg{
+			Txn: model.MakeTxnID(2, 9), Version: 4, Part: 0, Replica: true,
+			Spec: &model.SubtxnSpec{Node: 0, Updates: []model.KeyOp{
+				{Key: "acct:0", Op: model.AddOp{Field: "bal", Delta: 7}},
+				{Key: "acct:0", Op: model.AddOp{Field: "bal", Delta: -7}},
+			}},
+		}},
+		{From: 0, To: 1, Payload: core.ReplBeatMsg{Part: 1, Term: 5}},
 		// Batched messages: one BatchMsg payload whose members keep their
 		// own endpoints and trace contexts.
 		{From: 0, To: 2, Payload: transport.BatchMsg{Msgs: []transport.Message{
@@ -229,6 +236,7 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		"generation 1 frame": {[]byte{1, 0, 2, idReliableNoop}, ErrVersion},
 		"generation 2 frame": {[]byte{2, flagTraceContext, 42, 43, 0, 2, idReliableNoop}, ErrVersion},
 		"generation 3 frame": {[]byte{3, 0, 2, idBatch, 1, 0, 0, 2, idReliableNoop}, ErrVersion},
+		"generation 4 frame": {[]byte{4, 0, 0, 2, idReliableNoop}, ErrVersion},
 		// A flag bit we don't know must be rejected, not half-parsed.
 		"unknown top-level flag": {frame([]byte{0x02, 0, 2}, noop), ErrVersion},
 		"unknown member flag":    {frame(hdr, batchOf(1), []byte{0x02, 0, 2}, noop), ErrVersion},
