@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/transport"
+	"repro/internal/transport/reliable"
 )
 
 // newTestCluster builds and starts a 3-node cluster with items spread
@@ -431,5 +432,69 @@ func TestReadSeesConsistentVersionAcrossNodes(t *testing.T) {
 	d, _ := readBal(t, c, 1, "D")
 	if a != 100 || d != 100 {
 		t.Errorf("final A=%d D=%d, want 100/100", a, d)
+	}
+}
+
+// TestAdvanceIgnoresBatchWindow pins that advancement traffic is urgent
+// in both batching layers: with one-second windows, where each of an
+// advancement's coordinator↔node rounds would otherwise wait out a
+// window per direction, Advance completes in milliseconds. The session
+// rows park retransmission, which would otherwise resend a staged frame
+// past its window after 2 ms.
+func TestAdvanceIgnoresBatchWindow(t *testing.T) {
+	session := reliable.Config{RetransmitInterval: time.Minute, FlushInterval: time.Second}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"network window", Config{NetConfig: transport.Config{BatchWindow: time.Second}}},
+		{"session window", Config{Reliable: true, ReliableConfig: session}},
+		{"both windows, batched counters", Config{
+			NetConfig:       transport.Config{BatchWindow: time.Second},
+			Reliable:        true,
+			ReliableConfig:  session,
+			BatchedCounters: true,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.AckTimeout = 3 * time.Second
+			c := newTestCluster(t, tc.cfg)
+			for want := model.Version(1); want <= 2; want++ {
+				start := time.Now()
+				rep := c.Advance()
+				el := time.Since(start)
+				if rep.Err != nil || rep.NewVR != want {
+					t.Fatalf("advance %d: err=%v vr=%d", want, rep.Err, rep.NewVR)
+				}
+				if el > 250*time.Millisecond {
+					t.Fatalf("advance %d took %v: advancement traffic waited out a batch window", want, el)
+				}
+			}
+		})
+	}
+}
+
+// TestUrgentPayloads pins which protocol payloads skip the batch window:
+// the twelve messages of the advancement rounds, and nothing that
+// carries transactions, their commit protocol, leases or spans.
+func TestUrgentPayloads(t *testing.T) {
+	urgent := []any{
+		StartAdvancementMsg{}, AckAdvancementMsg{}, ReadVersionMsg{}, AckReadVersionMsg{},
+		GCMsg{}, AckGCMsg{}, CounterReqMsg{}, CounterReplyMsg{}, CountersReqMsg{}, CountersMsg{},
+		VersionProbeMsg{}, VersionReplyMsg{},
+	}
+	ordinary := []any{
+		SubtxnMsg{}, SubtxnMsg{Replica: true}, NCVoteMsg{}, NCDecisionMsg{}, UnlockMsg{},
+		CoordStateMsg{}, StaleTermMsg{}, ReplBeatMsg{}, SpanReportMsg{},
+	}
+	for _, p := range urgent {
+		if !transport.IsUrgent(p) {
+			t.Errorf("%T must be urgent", p)
+		}
+	}
+	for _, p := range ordinary {
+		if transport.IsUrgent(p) {
+			t.Errorf("%T must keep its batch window", p)
+		}
 	}
 }

@@ -305,6 +305,10 @@ func (c *Coordinator) eachPart(f func(part int)) {
 // after an Advance() starts (9 % when no sweep runs): one sweep after
 // another 82 ms, 12 %; unpaced 23 ms, 17 %; probe, switch and GC as
 // steps but the drain outside them 34 ms, 15 %; this pacer 49 ms, 13 %.
+// Those figures were taken while advancement messages still waited out
+// the 100 µs batch window per link and direction. With them urgent
+// (messages.go) this pacer reads about 20 ms; the other variants have
+// not been re-measured.
 // The benchmark's update_p90_ms is a median over ten one-second windows
 // of which Go's GC cycles already spoil three or four, so it tolerates
 // little extra slow traffic: with the 34 ms pacer one run in five came

@@ -175,6 +175,26 @@ type CountersMsg struct {
 	Part    int
 }
 
+// Advancement traffic is urgent (transport.Urgent): a phase notice, a
+// counter sweep, a version probe or a reply to one flushes its link at
+// once instead of waiting out a batch window. Advancement is a chain of
+// coordinator↔node rounds, each of which would otherwise pay one window
+// per direction, and it gains nothing from coalescing — a round is one
+// message per link. Subtransactions, replica children and everything
+// else keep their windows: coalescing is what makes their throughput.
+func (StartAdvancementMsg) Urgent() bool { return true }
+func (AckAdvancementMsg) Urgent() bool   { return true }
+func (ReadVersionMsg) Urgent() bool      { return true }
+func (AckReadVersionMsg) Urgent() bool   { return true }
+func (GCMsg) Urgent() bool               { return true }
+func (AckGCMsg) Urgent() bool            { return true }
+func (CounterReqMsg) Urgent() bool       { return true }
+func (CounterReplyMsg) Urgent() bool     { return true }
+func (CountersReqMsg) Urgent() bool      { return true }
+func (CountersMsg) Urgent() bool         { return true }
+func (VersionProbeMsg) Urgent() bool     { return true }
+func (VersionReplyMsg) Urgent() bool     { return true }
+
 // NCVoteMsg is the first phase of NC3V's two-phase commit: a node that
 // finished executing a subtransaction of non-commuting transaction Txn
 // reports to the transaction's coordinating node whether its local part

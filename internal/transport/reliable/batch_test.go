@@ -180,12 +180,10 @@ func BenchmarkRetransmitScanIdleFull(b *testing.B) {
 	}
 }
 
-// TestCloseWhileWindowTimersArm is the regression for Close panicking
-// with "WaitGroup is reused before previous Wait has returned": a batching
-// session closed with traffic still in flight keeps receiving frames,
-// and each used to arm a flush or delayed-ack timer (timers.Add) while
-// Close sat in timers.Wait. Run under -race, which also reports the
-// Add/Wait race directly.
+// TestCloseWhileWindowTimersArm closes a batching session with traffic
+// still in flight: frames keep arriving and arming flush and delayed-ack
+// timers while Close sweeps the links and stops those timers. Run under
+// -race, which reports an arm racing the stop.
 func TestCloseWhileWindowTimersArm(t *testing.T) {
 	for round := 0; round < 300; round++ {
 		inner := transport.NewNet(transport.Config{Nodes: 2, Seed: int64(round)})

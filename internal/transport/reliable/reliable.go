@@ -41,6 +41,11 @@ type DataMsg struct {
 	Payload any
 }
 
+// Urgent reports the urgency of the enveloped payload, so a frame that
+// carries an urgent message is not re-staged by a batching network
+// underneath the session.
+func (d DataMsg) Urgent() bool { return transport.IsUrgent(d.Payload) }
+
 // AckMsg is the receiver's cumulative acknowledgement for the reverse
 // link: every data frame with Seq ≤ CumAck has been delivered.
 type AckMsg struct {
@@ -118,10 +123,11 @@ type Config struct {
 	MaxBackoff time.Duration
 	// FlushInterval, when positive, turns on frame batching: data frames
 	// stage on a per-link outbox and leave as one transport.BatchMsg
-	// envelope when the window expires (or the outbox hits maxBatch), so
-	// the inner network moves a whole flush per send. 0 disables
-	// batching — every frame is transmitted individually, exactly the
-	// pre-batching behaviour.
+	// envelope when the window expires (or the outbox hits maxBatch, or
+	// a frame whose payload is transport.Urgent is staged), so the inner
+	// network moves a whole flush per send. 0 disables batching — every
+	// frame is transmitted individually, exactly the pre-batching
+	// behaviour.
 	FlushInterval time.Duration
 	// AckDelay, when batching is on, is how long a receiver may owe a
 	// cumulative ack before a standalone one is forced out; within the
@@ -182,9 +188,16 @@ type sendLink struct {
 	nextSeq uint64
 	unacked []pendingFrame // ascending by seq
 	// Batching state (FlushInterval > 0 only): frames staged for the
-	// next flush, in send order, and whether a window timer is armed.
+	// next flush, in send order, whether the window timer is armed, and
+	// the timer itself (allocated on first use, re-armed with Reset).
 	outbox     []transport.Message
 	flushArmed bool
+	flushTimer *time.Timer
+	// out serializes the link's flushes: a flush takes the outbox and
+	// emits it while holding out, so flushes leave in the order they
+	// took their frames — an urgent or full-outbox flush is never
+	// overtaken by the window timer's flush of frames staged after it.
+	out sync.Mutex
 }
 
 // bufEntry is one received-but-undelivered frame: its payload, the
@@ -201,13 +214,15 @@ type recvLink struct {
 	nextExpected uint64              // next in-order seq to deliver
 	buffer       map[uint64]bufEntry // out-of-order frames by seq
 	// Delayed-ack state (FlushInterval > 0 only): whether a cumulative
-	// ack is owed to the sender and whether the AckDelay timer that
-	// bounds the debt is armed. The watermark itself (nextExpected) is
-	// always current — delaying the ack never delays delivery, and
-	// NoteRecv has already made the watermark durable, so a late ack is
-	// merely a late release of the sender's retransmit state.
+	// ack is owed to the sender, whether the AckDelay timer that bounds
+	// the debt is armed, and that timer. The watermark itself
+	// (nextExpected) is always current — delaying the ack never delays
+	// delivery, and NoteRecv has already made the watermark durable, so
+	// a late ack is merely a late release of the sender's retransmit
+	// state.
 	ackOwed  bool
 	ackArmed bool
+	ackTimer *time.Timer
 }
 
 // Session is the reliable-delivery decorator. It implements
@@ -241,14 +256,19 @@ type Session struct {
 	closed  bool
 	stop    chan struct{}
 	wg      sync.WaitGroup
-	timers  sync.WaitGroup // in-flight flush/ack window timers
-	// closing stops new window timers from being armed, so Close can
-	// wait on timers without an Add racing its Wait. Both arming sites
-	// read it under the lock that guards their armed flag (a link's mu,
-	// a node's recvMu); Close sets it before a final sweep that takes
-	// every one of those locks, so an arm either happened before the
-	// sweep (and is waited for) or sees the flag.
+	// closing stops new window timers from being armed: frames and acks
+	// from then on leave at once. Both arming sites read it under the
+	// lock that guards their armed flag (a link's mu, a node's recvMu);
+	// Close sets it before a final sweep that takes every one of those
+	// locks, so an arm either happened before the sweep (whose flush
+	// leaves the timer nothing to do) or sees the flag.
 	closing atomic.Bool
+	// timerMu fences window timers off the inner network: a firing timer
+	// holds it for reading while it flushes, and Close sets timersOff
+	// under the write lock before closing the inner network, so no timer
+	// sends into a closed network and Close never waits out a window.
+	timerMu   sync.RWMutex
+	timersOff bool
 }
 
 // Wrap decorates inner (serving node ids 0..nodes-1) with the session
@@ -370,10 +390,10 @@ func (s *Session) Close() {
 	s.wg.Wait()
 	if s.batching {
 		// Final sweep: emit every staged outbox (and piggybacked acks)
-		// before the inner network's gate drops, then wait out armed
-		// window timers — they re-run flushLink/flushAck, find nothing,
-		// and exit, so no timer can touch a closed inner network. Frames
-		// and acks that arrive from here on leave at once (see closing).
+		// before the inner network's gate drops. Frames and acks that
+		// arrive from here on leave at once (see closing), so armed
+		// window timers have nothing left to do: stop them instead of
+		// waiting them out, and fence off any already firing (timerMu).
 		s.closing.Store(true)
 		for from := 0; from < s.n; from++ {
 			for to := 0; to < s.n; to++ {
@@ -385,9 +405,50 @@ func (s *Session) Close() {
 				s.flushAck(model.NodeID(id), model.NodeID(from))
 			}
 		}
-		s.timers.Wait()
+		s.stopTimers()
 	}
 	s.inner.Close()
+}
+
+// stopTimers stops every window timer and waits for any callback
+// already past its start to finish; callbacks that run later find
+// timersOff and send nothing.
+func (s *Session) stopTimers() {
+	for from := 0; from < s.n; from++ {
+		for to := 0; to < s.n; to++ {
+			l := s.send[from][to]
+			l.mu.Lock()
+			if l.flushTimer != nil {
+				l.flushTimer.Stop()
+			}
+			l.mu.Unlock()
+		}
+	}
+	for id := 0; id < s.n; id++ {
+		s.recvMu[id].Lock()
+		for _, rl := range s.recv[id] {
+			if rl.ackTimer != nil {
+				rl.ackTimer.Stop()
+			}
+		}
+		s.recvMu[id].Unlock()
+	}
+	s.timerMu.Lock()
+	s.timersOff = true
+	s.timerMu.Unlock()
+}
+
+// afterWindow returns a timer that runs f after d, unless the session
+// has stopped its timers by then (see timerMu). Callers re-arm it with
+// Reset.
+func (s *Session) afterWindow(d time.Duration, f func()) *time.Timer {
+	return time.AfterFunc(d, func() {
+		s.timerMu.RLock()
+		defer s.timerMu.RUnlock()
+		if !s.timersOff {
+			f()
+		}
+	})
 }
 
 // Send implements Network: the payload is enveloped with the link's
@@ -425,37 +486,42 @@ func (s *Session) Send(m transport.Message) {
 }
 
 // stage parks an enveloped frame on its link's outbox; the first frame
-// arms the flush window, a full outbox (or any frame staged while the
-// session is closing) flushes immediately. The frame is already tracked
-// in unacked (and journaled), so a crash or drop between staging and
-// flush is repaired by retransmission like any other loss.
+// arms the flush window, a full outbox, an urgent frame (or any frame
+// staged while the session is closing) flushes the link immediately.
+// The frame is already tracked in unacked (and journaled), so a crash
+// or drop between staging and flush is repaired by retransmission like
+// any other loss.
 func (s *Session) stage(env transport.Message) {
 	l := s.send[env.From][env.To]
 	l.mu.Lock()
 	l.outbox = append(l.outbox, env)
-	if len(l.outbox) >= maxBatch || s.closing.Load() {
-		msgs := l.outbox
-		l.outbox = nil
+	if len(l.outbox) >= maxBatch || s.closing.Load() || transport.IsUrgent(env.Payload) {
 		l.mu.Unlock()
-		s.emit(env.From, env.To, msgs)
+		s.flushLink(env.From, env.To)
 		return
 	}
 	if !l.flushArmed {
 		l.flushArmed = true
-		from, to := env.From, env.To
-		s.timers.Add(1)
-		time.AfterFunc(s.cfg.FlushInterval, func() {
-			defer s.timers.Done()
-			s.flushLink(from, to)
-		})
+		if l.flushTimer == nil {
+			from, to := env.From, env.To
+			l.flushTimer = s.afterWindow(s.cfg.FlushInterval, func() { s.flushLink(from, to) })
+		} else {
+			// Re-arming is safe whether or not the timer has fired: at
+			// worst a stale callback flushes early (a short window) and
+			// the re-armed one finds the outbox empty.
+			l.flushTimer.Reset(s.cfg.FlushInterval)
+		}
 	}
 	l.mu.Unlock()
 }
 
-// flushLink drains one link's outbox (window expiry, or the final
-// sweep in Close) and emits the flush.
+// flushLink drains one link's outbox (window expiry, a full outbox, an
+// urgent frame, or the final sweep in Close) and emits the flush. When
+// it returns, everything staged on the link before the call has left.
 func (s *Session) flushLink(from, to model.NodeID) {
 	l := s.send[from][to]
+	l.out.Lock()
+	defer l.out.Unlock()
 	l.mu.Lock()
 	msgs := l.outbox
 	l.outbox = nil
@@ -684,11 +750,11 @@ func (s *Session) onData(id, from model.NodeID, d DataMsg, tc obs.TraceContext) 
 	rl.ackOwed = true
 	if !rl.ackArmed {
 		rl.ackArmed = true
-		s.timers.Add(1)
-		time.AfterFunc(s.cfg.AckDelay, func() {
-			defer s.timers.Done()
-			s.flushAck(id, from)
-		})
+		if rl.ackTimer == nil {
+			rl.ackTimer = s.afterWindow(s.cfg.AckDelay, func() { s.flushAck(id, from) })
+		} else {
+			rl.ackTimer.Reset(s.cfg.AckDelay)
+		}
 	}
 	s.recvMu[id].Unlock()
 }

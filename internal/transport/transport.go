@@ -71,6 +71,20 @@ type BatchMsg struct {
 
 func init() { RegisterPayloadName(BatchMsg{}, "batch") }
 
+// Urgent is implemented by payloads that must not wait out a coalescing
+// window. Staging an urgent message flushes its link at once, together
+// with the messages staged ahead of it, so per-link order holds; every
+// other message keeps its window. Only traffic whose latency nobody can
+// hide behind batching opts in (core marks its advancement notices,
+// counter sweeps and their replies).
+type Urgent interface{ Urgent() bool }
+
+// IsUrgent reports whether payload p asks to flush its link at once.
+func IsUrgent(p any) bool {
+	u, ok := p.(Urgent)
+	return ok && u.Urgent()
+}
+
 // Deliver invokes h once per application message in m: BatchMsg
 // envelopes are unpacked in order, so handlers never see one. Every
 // transport's delivery loop funnels through this (tcpnet unpacks
@@ -322,11 +336,12 @@ type Config struct {
 	Faults Faults
 
 	// BatchWindow, when positive, coalesces each directed link's sends
-	// for up to this long (or until maxBatch are staged) and dispatches
-	// them as one BatchMsg envelope. The envelope is one unit to the
-	// fault layer — a drop loses the whole flush, a duplicate copies it —
-	// exactly like a batched frame on a real wire. 0 disables batching:
-	// every message dispatches individually.
+	// for up to this long (or until maxBatch are staged, or an Urgent
+	// message is staged) and dispatches them as one BatchMsg envelope.
+	// The envelope is one unit to the fault layer — a drop loses the
+	// whole flush, a duplicate copies it — exactly like a batched frame
+	// on a real wire. 0 disables batching: every message dispatches
+	// individually.
 	BatchWindow time.Duration
 }
 
@@ -378,15 +393,22 @@ type Net struct {
 
 // linkBuf stages one directed link's coalescing window: messages
 // accumulate under mu until the window timer (armed by the first
-// message) or a full buffer flushes them as one envelope. The timer is
-// allocated once per link and re-armed with Reset — at tens of
-// thousands of flushes per second a fresh AfterFunc per window is
-// measurable allocation churn on the hot path.
+// message), a full buffer or an urgent message flushes them as one
+// envelope. The timer is allocated once per link and re-armed with
+// Reset — at tens of thousands of flushes per second a fresh AfterFunc
+// per window is measurable allocation churn on the hot path.
+//
+// out serializes the link's flushes: a flush takes the buffer and
+// transmits it while holding out, so flushes leave in the order they
+// took their messages. Without it a flush triggered by a full buffer or
+// an urgent message could be overtaken by the window timer's flush of
+// messages staged after it.
 type linkBuf struct {
 	mu    sync.Mutex
 	msgs  []Message
 	armed bool
 	timer *time.Timer
+	out   sync.Mutex
 }
 
 // NewNet builds a live network from cfg.
@@ -516,16 +538,15 @@ func (n *Net) transmit(m Message) {
 }
 
 // stage parks a message on its link's coalescing buffer; the first
-// message arms the window timer, a full buffer flushes immediately.
+// message arms the window timer, a full buffer or an urgent message
+// flushes the link immediately.
 func (n *Net) stage(m Message) {
 	lb := n.links[int(m.From)*n.cfg.Nodes+int(m.To)]
 	lb.mu.Lock()
 	lb.msgs = append(lb.msgs, m)
-	if len(lb.msgs) >= maxBatch {
-		msgs := lb.msgs
-		lb.msgs = nil
+	if len(lb.msgs) >= maxBatch || IsUrgent(m.Payload) {
 		lb.mu.Unlock()
-		n.flush(m.From, m.To, msgs)
+		n.flushLink(m.From, m.To)
 		return
 	}
 	if !lb.armed {
@@ -534,19 +555,24 @@ func (n *Net) stage(m Message) {
 			from, to := m.From, m.To
 			lb.timer = time.AfterFunc(n.cfg.BatchWindow, func() { n.flushLink(from, to) })
 		} else {
-			// Re-arming an expired AfterFunc timer is safe: at worst a
-			// stale callback drains the buffer early (a harmless short
-			// window) and the re-armed one finds it empty.
+			// Re-arming is safe whether or not the timer has fired (an
+			// urgent flush disarms the link with its timer pending): at
+			// worst a stale callback drains the buffer early (a
+			// harmless short window) and the re-armed one finds it
+			// empty.
 			lb.timer.Reset(n.cfg.BatchWindow)
 		}
 	}
 	lb.mu.Unlock()
 }
 
-// flushLink drains one link's staging buffer (window expiry, or the
-// final sweep in Close).
+// flushLink drains one link's staging buffer (window expiry, a full
+// buffer, an urgent message, or the final sweep in Close). When it
+// returns, everything staged on the link before the call has left.
 func (n *Net) flushLink(from, to model.NodeID) {
 	lb := n.links[int(from)*n.cfg.Nodes+int(to)]
+	lb.out.Lock()
+	defer lb.out.Unlock()
 	lb.mu.Lock()
 	msgs := lb.msgs
 	lb.msgs = nil

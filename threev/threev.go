@@ -135,6 +135,9 @@ type Config struct {
 	// in chunks of 64 that share one WAL barrier (except under
 	// NonCommuting, where chunked admission is disabled), and the
 	// coordinator's quiescence sweeps use the batched counter protocol.
+	// Advancement traffic is exempt from the window: its notices,
+	// counter sweeps and replies flush their link at once, so a version
+	// switch takes no longer with Batching on.
 	Batching bool
 }
 
