@@ -474,6 +474,33 @@ func TestAdvanceIgnoresBatchWindow(t *testing.T) {
 	}
 }
 
+// TestLocalHopsIgnoreBatchWindow pins that self-addressed sends are not
+// windowed: with a one-second network window and no journal, an update
+// whose root and child both run on node 0 makes two loopback hops (the
+// root's admission and the child) and completes in milliseconds instead
+// of waiting out a window per hop.
+func TestLocalHopsIgnoreBatchWindow(t *testing.T) {
+	c := newTestCluster(t, Config{NetConfig: transport.Config{BatchWindow: time.Second}})
+	start := time.Now()
+	h, err := c.Submit(&model.TxnSpec{Label: "local", Root: &model.SubtxnSpec{
+		Node:     0,
+		Updates:  []model.KeyOp{addOp("A", 1)},
+		Children: []*model.SubtxnSpec{{Node: 0, Updates: []model.KeyOp{addOp("B", 1)}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.WaitTimeout(5 * time.Second) {
+		t.Fatal("transaction did not complete")
+	}
+	if el := time.Since(start); el > 250*time.Millisecond {
+		t.Fatalf("local update took %v: a self-addressed hop waited out the batch window", el)
+	}
+	if got := h.Status(); got != StatusCommitted {
+		t.Fatalf("status = %v, want committed", got)
+	}
+}
+
 // TestUrgentPayloads pins which protocol payloads skip the batch window:
 // the twelve messages of the advancement rounds, and nothing that
 // carries transactions, their commit protocol, leases or spans.

@@ -72,6 +72,16 @@ func (r *Ring[T]) Peek() (v T, ok bool) {
 	return r.buf[r.head&uint64(len(r.buf)-1)], true
 }
 
+// At returns a pointer to the i-th queued element, 0 being the head.
+// The pointer is valid until the next Push (which may move the buffer).
+// It panics if i is out of range.
+func (r *Ring[T]) At(i int) *T {
+	if i < 0 || i >= r.Len() {
+		panic("ring: index out of range")
+	}
+	return &r.buf[(r.head+uint64(i))&uint64(len(r.buf)-1)]
+}
+
 // grow doubles the buffer (or allocates the initial one) and linearizes
 // the live elements into it starting at index 0.
 func (r *Ring[T]) grow() {

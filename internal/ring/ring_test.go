@@ -153,3 +153,32 @@ func TestRandomizedAgainstSlice(t *testing.T) {
 		}
 	}
 }
+
+func TestAtIndexesFromHead(t *testing.T) {
+	// Pop a few first so the live run wraps the buffer end.
+	var r Ring[int]
+	for i := 0; i < 12; i++ {
+		r.Push(i)
+	}
+	for i := 0; i < 10; i++ {
+		r.Pop()
+	}
+	for i := 12; i < 24; i++ {
+		r.Push(i)
+	}
+	for i := 0; i < r.Len(); i++ {
+		if v := *r.At(i); v != 10+i {
+			t.Fatalf("At(%d) = %d, want %d", i, v, 10+i)
+		}
+	}
+	*r.At(0) = -1
+	if v, _ := r.Pop(); v != -1 {
+		t.Fatalf("write through At(0) not seen by Pop: got %d", v)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At(Len()) did not panic")
+		}
+	}()
+	r.At(r.Len())
+}

@@ -34,7 +34,7 @@ func (s *Session) linkInFlight(from, to int) int {
 	l := s.send[from][to]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.unacked)
+	return l.unacked.Len()
 }
 
 // TestBatchedFIFOExactlyOnce pins the core contract with batching on:

@@ -25,12 +25,14 @@
 package reliable
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/ring"
 	"repro/internal/transport"
 )
 
@@ -41,16 +43,20 @@ type DataMsg struct {
 	Payload any
 }
 
-// Urgent reports the urgency of the enveloped payload, so a frame that
-// carries an urgent message is not re-staged by a batching network
-// underneath the session.
-func (d DataMsg) Urgent() bool { return transport.IsUrgent(d.Payload) }
-
 // AckMsg is the receiver's cumulative acknowledgement for the reverse
 // link: every data frame with Seq ≤ CumAck has been delivered.
 type AckMsg struct {
 	CumAck uint64
 }
+
+// Flushed marks session frames as already flushed (transport.Flushed):
+// the session coalesces a link's frames itself, so a batching network
+// underneath sends each one on at once instead of staging it behind the
+// session's next flush.
+func (DataMsg) Flushed() {}
+
+// Flushed marks acks as already flushed, like data frames.
+func (AckMsg) Flushed() {}
 
 // NoopMsg is a hole-filling payload synthesized by crash recovery: a
 // sequence number allocated with Prepare whose frame never became
@@ -125,7 +131,8 @@ type Config struct {
 	// stage on a per-link outbox and leave as one transport.BatchMsg
 	// envelope when the window expires (or the outbox hits maxBatch, or
 	// a frame whose payload is transport.Urgent is staged), so the inner
-	// network moves a whole flush per send. 0 disables batching — every
+	// network moves a whole flush per send. A staged frame's retransmit
+	// clock starts when its flush leaves. 0 disables batching — every
 	// frame is transmitted individually, exactly the pre-batching
 	// behaviour.
 	FlushInterval time.Duration
@@ -176,17 +183,25 @@ const maxBatch = 256
 
 // pendingFrame is one sent-but-unacknowledged data frame.
 type pendingFrame struct {
-	msg        transport.Message // the enveloped message, ready to re-send
-	seq        uint64
-	backoff    time.Duration
+	msg     transport.Message // the enveloped message, ready to re-send
+	seq     uint64
+	backoff time.Duration
+	// nextResend is when the retransmit scanner next re-offers the frame.
+	// It holds notSent until the frame is first handed to the inner
+	// network (see startClocks): a frame waiting for its journal record
+	// or on its link's outbox is never retransmitted.
 	nextResend time.Time
 }
+
+// notSent is the nextResend of a frame not yet sent: never overdue.
+var notSent = time.Unix(1<<62, 0)
 
 // sendLink is the sender-side state of one directed link.
 type sendLink struct {
 	mu      sync.Mutex
 	nextSeq uint64
-	unacked []pendingFrame // ascending by seq
+	// unacked is ascending by seq; acks pop from its head.
+	unacked ring.Ring[pendingFrame]
 	// Batching state (FlushInterval > 0 only): frames staged for the
 	// next flush, in send order, whether the window timer is armed, and
 	// the timer itself (allocated on first use, re-armed with Reset).
@@ -305,7 +320,7 @@ func Wrap(inner transport.Network, nodes int, cfg Config) *Session {
 				if !ok {
 					continue
 				}
-				l.unacked = append(l.unacked, pendingFrame{
+				l.unacked.Push(pendingFrame{
 					msg:     m,
 					seq:     d.Seq,
 					backoff: s.cfg.RetransmitInterval,
@@ -332,10 +347,10 @@ func (s *Session) ExportState() *SessionState {
 		for to := 0; to < s.n; to++ {
 			l := s.send[from][to]
 			l.mu.Lock()
-			if l.nextSeq > 0 || len(l.unacked) > 0 {
+			if l.nextSeq > 0 || l.unacked.Len() > 0 {
 				ls := LinkSendState{From: model.NodeID(from), To: model.NodeID(to), NextSeq: l.nextSeq}
-				for _, f := range l.unacked {
-					ls.Unacked = append(ls.Unacked, f.msg)
+				for i := 0; i < l.unacked.Len(); i++ {
+					ls.Unacked = append(ls.Unacked, l.unacked.At(i).msg)
 				}
 				st.Send = append(st.Send, ls)
 			}
@@ -464,38 +479,43 @@ func (s *Session) Send(m transport.Message) {
 	l.nextSeq++
 	seq := l.nextSeq
 	env := transport.Message{From: m.From, To: m.To, Payload: DataMsg{Seq: seq, Payload: m.Payload}, TC: m.TC}
-	l.unacked = append(l.unacked, pendingFrame{
-		msg:        env,
-		seq:        seq,
-		backoff:    s.cfg.RetransmitInterval,
-		nextResend: time.Now().Add(s.cfg.RetransmitInterval),
-	})
+	l.unacked.Push(pendingFrame{msg: env, seq: seq, backoff: s.cfg.RetransmitInterval, nextResend: notSent})
 	s.unackedTotal.Add(1)
 	l.mu.Unlock()
 	if s.cfg.Journal != nil {
 		// Durable before first transmission: a crash after the frame is
 		// on the wire must find it in the log, or recovery would reuse
-		// the sequence number for a different payload.
+		// the sequence number for a different payload. The frame's
+		// retransmit clock has not started, so no retransmit can put it
+		// on the wire first.
 		s.cfg.Journal.NoteSend(env)
 	}
+	s.release(env)
+}
+
+// release hands on a tracked frame: to its link's outbox when batching,
+// else straight to the inner network, starting its retransmit clock as
+// it leaves.
+func (s *Session) release(env transport.Message) {
 	if s.batching {
 		s.stage(env)
 		return
 	}
+	s.startClocks(s.send[env.From][env.To], []transport.Message{env}, time.Now())
 	s.inner.Send(env)
 }
 
 // stage parks an enveloped frame on its link's outbox; the first frame
 // arms the flush window, a full outbox, an urgent frame (or any frame
 // staged while the session is closing) flushes the link immediately.
-// The frame is already tracked in unacked (and journaled), so a crash
-// or drop between staging and flush is repaired by retransmission like
-// any other loss.
+// The frame is already tracked in unacked (and journaled); its
+// retransmit clock starts when the flush leaves, so a drop after that
+// is repaired by retransmission like any other loss.
 func (s *Session) stage(env transport.Message) {
 	l := s.send[env.From][env.To]
 	l.mu.Lock()
 	l.outbox = append(l.outbox, env)
-	if len(l.outbox) >= maxBatch || s.closing.Load() || transport.IsUrgent(env.Payload) {
+	if len(l.outbox) >= maxBatch || s.closing.Load() || transport.IsUrgent(env.Payload.(DataMsg).Payload) {
 		l.mu.Unlock()
 		s.flushLink(env.From, env.To)
 		return
@@ -530,6 +550,24 @@ func (s *Session) flushLink(from, to model.NodeID) {
 	s.emit(from, to, msgs)
 }
 
+// startClocks starts the retransmit clock of every frame in msgs, which
+// are leaving the link now. Each is found by a binary search over
+// unacked; a frame already acked is skipped.
+func (s *Session) startClocks(l *sendLink, msgs []transport.Message, now time.Time) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := l.unacked.Len()
+	for _, m := range msgs {
+		seq := m.Payload.(DataMsg).Seq
+		i := sort.Search(n, func(i int) bool { return l.unacked.At(i).seq >= seq })
+		if i < n {
+			if f := l.unacked.At(i); f.seq == seq && f.nextResend.Equal(notSent) {
+				f.nextResend = now.Add(f.backoff)
+			}
+		}
+	}
+}
+
 // emit sends one flush on the link from → to: the staged frames plus,
 // piggybacked for free, any cumulative ack this node owes the peer for
 // the reverse direction. A single frame leaves unwrapped; two or more
@@ -537,6 +575,9 @@ func (s *Session) flushLink(from, to model.NodeID) {
 // unit (one syscall, one fault draw) and unpacks in order on delivery,
 // preserving per-link FIFO.
 func (s *Session) emit(from, to model.NodeID, msgs []transport.Message) {
+	if len(msgs) > 0 {
+		s.startClocks(s.send[from][to], msgs, time.Now())
+	}
 	rl := s.recv[from][to]
 	s.recvMu[from].Lock()
 	if rl.ackOwed {
@@ -604,7 +645,6 @@ func (s *Session) Prepare(m transport.Message) PreparedSend {
 // CommitPrepared tracks and transmits previously Prepared frames, in
 // order. The caller has already journaled them (or does not journal).
 func (s *Session) CommitPrepared(frames []PreparedSend) {
-	now := time.Now()
 	for _, p := range frames {
 		if p.loopback {
 			s.inner.Send(p.Msg)
@@ -613,24 +653,16 @@ func (s *Session) CommitPrepared(frames []PreparedSend) {
 		d := p.Msg.Payload.(DataMsg)
 		l := s.send[p.Msg.From][p.Msg.To]
 		l.mu.Lock()
-		l.unacked = append(l.unacked, pendingFrame{
-			msg:        p.Msg,
-			seq:        d.Seq,
-			backoff:    s.cfg.RetransmitInterval,
-			nextResend: now.Add(s.cfg.RetransmitInterval),
-		})
-		// Keep the list ascending: a concurrent Send on the same link
-		// may have appended a later sequence number first.
-		for i := len(l.unacked) - 1; i > 0 && l.unacked[i].seq < l.unacked[i-1].seq; i-- {
-			l.unacked[i], l.unacked[i-1] = l.unacked[i-1], l.unacked[i]
+		l.unacked.Push(pendingFrame{msg: p.Msg, seq: d.Seq, backoff: s.cfg.RetransmitInterval, nextResend: notSent})
+		// Keep the queue ascending: a concurrent Send on the same link
+		// may have pushed a later sequence number first.
+		for i := l.unacked.Len() - 1; i > 0 && l.unacked.At(i).seq < l.unacked.At(i-1).seq; i-- {
+			a, b := l.unacked.At(i), l.unacked.At(i-1)
+			*a, *b = *b, *a
 		}
 		s.unackedTotal.Add(1)
 		l.mu.Unlock()
-		if s.batching {
-			s.stage(p.Msg)
-			continue
-		}
-		s.inner.Send(p.Msg)
+		s.release(p.Msg)
 	}
 }
 
@@ -763,16 +795,14 @@ func (s *Session) onData(id, from model.NodeID, d DataMsg, tc obs.TraceContext) 
 func (s *Session) onAck(id, from model.NodeID, cum uint64) {
 	l := s.send[id][from]
 	l.mu.Lock()
+	// Pop the acknowledged head: O(acked), whatever the backlog behind
+	// it (Pop zeroes each slot, so no acked payload stays pinned).
 	i := 0
-	for i < len(l.unacked) && l.unacked[i].seq <= cum {
+	for f, ok := l.unacked.Peek(); ok && f.seq <= cum; f, ok = l.unacked.Peek() {
+		l.unacked.Pop()
 		i++
 	}
 	if i > 0 {
-		// Zero the vacated tail: the slice keeps its capacity, and a
-		// stale pendingFrame there would pin an acknowledged payload.
-		n := copy(l.unacked, l.unacked[i:])
-		clear(l.unacked[n:])
-		l.unacked = l.unacked[:n]
 		s.unackedTotal.Add(-int64(i))
 	}
 	l.mu.Unlock()
@@ -816,8 +846,8 @@ func (s *Session) scanOverdue(now time.Time) {
 			l := s.send[from][to]
 			l.mu.Lock()
 			var resend []transport.Message
-			for i := range l.unacked {
-				f := &l.unacked[i]
+			for i := 0; i < l.unacked.Len(); i++ {
+				f := l.unacked.At(i)
 				if now.Before(f.nextResend) {
 					continue
 				}
@@ -865,7 +895,7 @@ func (s *Session) InFlight() int {
 		for to := 0; to < s.n; to++ {
 			l := s.send[from][to]
 			l.mu.Lock()
-			n += len(l.unacked)
+			n += l.unacked.Len()
 			l.mu.Unlock()
 		}
 	}

@@ -142,10 +142,10 @@ func TestBackoffCapsAndRetransmitOverdue(t *testing.T) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.unacked) != 1 {
-		t.Fatalf("unacked = %d, want 1", len(l.unacked))
+	if l.unacked.Len() != 1 {
+		t.Fatalf("unacked = %d, want 1", l.unacked.Len())
 	}
-	if b := l.unacked[0].backoff; b != 4*time.Millisecond {
+	if b := l.unacked.At(0).backoff; b != 4*time.Millisecond {
 		t.Fatalf("backoff = %v, want capped at 4ms", b)
 	}
 	if s.Stats().Retransmits != 5 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/transport"
 )
 
@@ -20,13 +21,10 @@ func (m seqMsg) Urgent() bool { return m.urgent }
 
 // TestSessionUrgentFlushesAtOnce is the network test through DataMsg:
 // with both the session and the network underneath it on hour-long
-// windows, ordinary frames stay staged, an urgent frame leaves at once
-// with the staged ones ahead of it, and a lone urgent frame is not
-// re-staged by the network (DataMsg.Urgent).
+// windows, ordinary frames stay staged in the session, an urgent frame
+// leaves at once with the staged ones ahead of it, and no session frame,
+// urgent or not, is re-staged by the network (transport.Flushed).
 func TestSessionUrgentFlushesAtOnce(t *testing.T) {
-	if !(DataMsg{Payload: seqMsg{urgent: true}}).Urgent() || (DataMsg{Payload: seqMsg{}}).Urgent() {
-		t.Fatal("DataMsg.Urgent must report its payload's urgency")
-	}
 	inner := transport.NewNet(transport.Config{Nodes: 2, BatchWindow: time.Hour})
 	s := Wrap(inner, 2, Config{RetransmitInterval: time.Minute, FlushInterval: time.Hour})
 	got := make(chan int, 10)
@@ -43,7 +41,7 @@ func TestSessionUrgentFlushesAtOnce(t *testing.T) {
 					t.Fatalf("delivery %d = message %d: the urgent flush broke link order", want, v)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatalf("message %d still staged after an urgent send", want)
+				t.Fatalf("message %d still staged after its flush", want)
 			}
 		}
 	}
@@ -59,6 +57,59 @@ func TestSessionUrgentFlushesAtOnce(t *testing.T) {
 	expect(0, 3)
 	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 3, urgent: true}})
 	expect(3, 4)
+	// An ordinary frame flushed alone — what the session's window timer
+	// does — leaves the network at once too.
+	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 4}})
+	s.flushLink(0, 1)
+	expect(4, 5)
+}
+
+// innerOrder records the sequence numbers of the data frames a network
+// hands to the session above it, in delivery order.
+type innerOrder struct {
+	*transport.Net
+	seqs chan uint64
+}
+
+func (w *innerOrder) Register(id model.NodeID, h transport.Handler) {
+	w.Net.Register(id, func(m transport.Message) {
+		if d, ok := m.Payload.(DataMsg); ok {
+			w.seqs <- d.Seq
+		}
+		h(m)
+	})
+}
+
+// TestSessionFlushFIFOOverBatchingNet pins per-link FIFO between the two
+// batching layers: with one-second windows in both, a one-frame session
+// flush (a bare DataMsg) followed by a three-frame flush (a BatchMsg)
+// must reach the session's receiving side in sequence order, and at
+// once. A network that staged the lone frame would let the batch, which
+// it never stages, overtake it. Run under -race.
+func TestSessionFlushFIFOOverBatchingNet(t *testing.T) {
+	w := &innerOrder{Net: transport.NewNet(transport.Config{Nodes: 2, BatchWindow: time.Second}), seqs: make(chan uint64, 4)} // one slot per frame sent
+	s := Wrap(w, 2, Config{RetransmitInterval: time.Minute, FlushInterval: time.Second})
+	s.Register(0, func(transport.Message) {})
+	s.Register(1, func(transport.Message) {})
+	s.Start()
+	t.Cleanup(s.Close)
+
+	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 0}})
+	s.flushLink(0, 1) // the window timer's one-frame flush
+	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 1}})
+	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 2}})
+	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 3, urgent: true}})
+	deadline := time.After(500 * time.Millisecond)
+	for want := uint64(1); want <= 4; want++ {
+		select {
+		case got := <-w.seqs:
+			if got != want {
+				t.Fatalf("frame %d reached the session before frame %d: a later flush overtook a staged one", got, want)
+			}
+		case <-deadline:
+			t.Fatalf("frame %d still staged: the network re-staged a session flush", want)
+		}
+	}
 }
 
 // wireOrder is a network that checks, as frames enter it, that each

@@ -85,6 +85,18 @@ func IsUrgent(p any) bool {
 	return ok && u.Urgent()
 }
 
+// Flushed is implemented by payloads that an upper layer has already
+// coalesced and flushed on their link: the session frames and acks of
+// transport/reliable. A batching Net sends them on at once, as it does a
+// BatchMsg. Staging one again would let that layer's next flush, a
+// BatchMsg that is never staged, overtake it.
+type Flushed interface{ Flushed() }
+
+func isFlushed(p any) bool {
+	_, ok := p.(Flushed)
+	return ok
+}
+
 // Deliver invokes h once per application message in m: BatchMsg
 // envelopes are unpacked in order, so handlers never see one. Every
 // transport's delivery loop funnels through this (tcpnet unpacks
@@ -183,7 +195,8 @@ type Stats struct {
 	CloseDropped int64
 
 	// Flushes counts link flushes when batching is enabled (every
-	// envelope that left a link, single-message flushes included); 0
+	// envelope that left a node-to-node link, single-message flushes
+	// included; loopback sends cross no link and are not counted); 0
 	// when batching is off. Mean batch size is Messages-ish / Flushes;
 	// the per-link size distribution lives in the obs registry.
 	Flushes int64
@@ -340,7 +353,10 @@ type Config struct {
 	// message is staged) and dispatches them as one BatchMsg envelope.
 	// The envelope is one unit to the fault layer — a drop loses the
 	// whole flush, a duplicate copies it — exactly like a batched frame
-	// on a real wire. 0 disables batching: every message dispatches
+	// on a real wire. Only node-to-node links are windowed: a loopback
+	// message (From == To) crosses no link and leaves at once, and so do
+	// envelopes an upper layer has already flushed (BatchMsg, Flushed
+	// payloads). 0 disables batching: every message dispatches
 	// individually.
 	BatchWindow time.Duration
 }
@@ -360,7 +376,7 @@ type Net struct {
 	fs       faultState
 
 	// Link batching (nil slices when Config.BatchWindow == 0).
-	links      []*linkBuf // staging buffers, indexed from*Nodes+to
+	links      []*linkBuf // staging buffers, indexed from*Nodes+to; nil on the diagonal
 	linkLabels []string   // "from→to" histogram labels, same index
 	flushes    atomic.Int64
 	reg        atomic.Pointer[obs.Registry]
@@ -438,6 +454,9 @@ func NewNet(cfg Config) *Net {
 		n.linkLabels = make([]string, cfg.Nodes*cfg.Nodes)
 		for from := 0; from < cfg.Nodes; from++ {
 			for to := 0; to < cfg.Nodes; to++ {
+				if from == to {
+					continue // loopback is never staged (see Send)
+				}
 				n.links[from*cfg.Nodes+to] = &linkBuf{}
 				n.linkLabels[from*cfg.Nodes+to] = fmt.Sprintf("%d→%d", from, to)
 			}
@@ -497,20 +516,28 @@ func (n *Net) rnd() float64 {
 // are held by a timer goroutine first. The fault layer sits here: a
 // message may be blackholed by a partition, dropped, duplicated or
 // extra-delayed before dispatch (never for loopback sends).
+//
+// With batching on, only messages that cross a link and have not been
+// flushed by an upper layer are staged. A loopback message is one
+// mailbox insert, so there is no per-envelope cost for a window to
+// share: it leaves at once and is not a link flush. Pre-flushed
+// envelopes are never re-staged but are observed, so the obs histograms
+// see every flush on this net: a BatchMsg always, a Flushed frame where
+// it would otherwise have been staged.
 func (n *Net) Send(m Message) {
 	if int(m.To) < 0 || int(m.To) >= len(n.boxes) {
 		panic(fmt.Sprintf("transport: send to unknown node %d", m.To))
 	}
 	n.stats.Count(m)
-	if b, ok := m.Payload.(BatchMsg); ok {
-		// A pre-built envelope from an upper layer (reliable's flusher,
-		// group submit). Never re-staged — batches must not nest — but
-		// observed, so the obs histograms see every flush on this net.
+	b, isBatch := m.Payload.(BatchMsg)
+	switch {
+	case m.From == m.To: // loopback: no link to flush
+	case isBatch:
 		n.observeFlush(m.From, m.To, len(b.Msgs))
-		n.transmit(m)
-		return
-	}
-	if n.links != nil {
+	case n.links == nil: // batching off
+	case isFlushed(m.Payload):
+		n.observeFlush(m.From, m.To, 1)
+	default:
 		n.stage(m)
 		return
 	}
@@ -539,7 +566,8 @@ func (n *Net) transmit(m Message) {
 
 // stage parks a message on its link's coalescing buffer; the first
 // message arms the window timer, a full buffer or an urgent message
-// flushes the link immediately.
+// flushes the link immediately. Loopback messages never get here (the
+// diagonal has no buffer).
 func (n *Net) stage(m Message) {
 	lb := n.links[int(m.From)*n.cfg.Nodes+int(m.To)]
 	lb.mu.Lock()
@@ -738,7 +766,9 @@ func (n *Net) Close() {
 	if n.links != nil {
 		for from := 0; from < n.cfg.Nodes; from++ {
 			for to := 0; to < n.cfg.Nodes; to++ {
-				n.flushLink(model.NodeID(from), model.NodeID(to))
+				if from != to {
+					n.flushLink(model.NodeID(from), model.NodeID(to))
+				}
 			}
 		}
 	}

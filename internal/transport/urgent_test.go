@@ -121,3 +121,36 @@ func sendSeq(senders, per int, send func(seqMsg)) {
 	}
 	wg.Wait()
 }
+
+// TestNetLoopbackIgnoresBatchWindow pins that only node-to-node links
+// are windowed: with an hour-long window, a 0 → 1 message stays staged
+// while a loopback message, sent after it, is delivered at once and is
+// not counted as a link flush. The diagonal has no staging buffer.
+func TestNetLoopbackIgnoresBatchWindow(t *testing.T) {
+	n := NewNet(Config{Nodes: 2, BatchWindow: time.Hour})
+	self := make(chan int, 1)
+	peer := make(chan int, 1)
+	n.Register(0, func(m Message) { self <- m.Payload.(seqMsg).n })
+	n.Register(1, func(m Message) { peer <- m.Payload.(seqMsg).n })
+	n.Start()
+	defer n.Close()
+	if n.links[0] != nil || n.links[3] != nil {
+		t.Fatal("NewNet allocated a staging buffer for a loopback link")
+	}
+
+	n.Send(Message{From: 0, To: 1, Payload: seqMsg{n: 1}})
+	n.Send(Message{From: 0, To: 0, Payload: seqMsg{n: 2}})
+	select {
+	case <-self:
+	case <-time.After(5 * time.Second):
+		t.Fatal("loopback message waited out the batch window")
+	}
+	select {
+	case v := <-peer:
+		t.Fatalf("message %d on link 0→1 left before its window", v)
+	default:
+	}
+	if f := n.Stats().Flushes; f != 0 {
+		t.Fatalf("flushes = %d, want 0: a loopback send is not a link flush", f)
+	}
+}

@@ -137,7 +137,9 @@ type Config struct {
 	// coordinator's quiescence sweeps use the batched counter protocol.
 	// Advancement traffic is exempt from the window: its notices,
 	// counter sweeps and replies flush their link at once, so a version
-	// switch takes no longer with Batching on.
+	// switch takes no longer with Batching on. So is anything a node
+	// sends to itself, and with the session on, its frames are windowed
+	// once, in the session, not again in the network.
 	Batching bool
 }
 
