@@ -126,13 +126,9 @@ func main() {
 			ccfg.AckTimeout = 30 * time.Second
 		}
 		if *batch > 0 {
-			const window = 50 * time.Microsecond
-			ccfg.NetConfig.BatchWindow = window
+			ccfg.NetConfig.BatchWindow = 50 * time.Microsecond
 			ccfg.ExecChunk = 64
 			ccfg.BatchedCounters = true
-			if ccfg.Reliable {
-				ccfg.ReliableConfig.FlushInterval = window
-			}
 		}
 		cluster, err = core.NewCluster(ccfg)
 		if err == nil {

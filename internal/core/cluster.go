@@ -77,7 +77,10 @@ type Config struct {
 	// correct operation whenever NetConfig.Faults drops messages.
 	Reliable bool
 	// ReliableConfig tunes the session layer when Reliable is set; the
-	// zero value selects defaults.
+	// zero value selects defaults. Its FlushInterval is the stack's one
+	// batch window: 0 falls back to NetConfig.BatchWindow, and the
+	// network the cluster builds under a session has no window of its
+	// own.
 	ReliableConfig reliable.Config
 	// Journal, when non-nil, receives the local node's durability
 	// callbacks (command arrival, execution effects, version switches,
@@ -273,6 +276,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	} else {
 		nc := cfg.NetConfig
 		nc.Nodes = endpoints
+		if cfg.Reliable {
+			nc.BatchWindow = 0 // the session's window is the only one
+		}
 		mn := transport.NewNet(nc)
 		mn.SetObs(c.reg)
 		c.net = mn
@@ -283,6 +289,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// the inner network, so the cluster now owns the wrapper.
 		rc := cfg.ReliableConfig
 		rc.Obs = c.reg
+		if rc.FlushInterval <= 0 {
+			rc.FlushInterval = cfg.NetConfig.BatchWindow
+		}
 		c.net = reliable.Wrap(c.net, endpoints, rc)
 		c.ownsNet = true
 	}

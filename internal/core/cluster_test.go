@@ -436,23 +436,26 @@ func TestReadSeesConsistentVersionAcrossNodes(t *testing.T) {
 }
 
 // TestAdvanceIgnoresBatchWindow pins that advancement traffic is urgent
-// in both batching layers: with one-second windows, where each of an
-// advancement's coordinator↔node rounds would otherwise wait out a
-// window per direction, Advance completes in milliseconds. The session
-// rows park retransmission, which would otherwise resend a staged frame
-// past its window after 2 ms.
+// in whichever layer holds the window: with one-second windows, where
+// each of an advancement's coordinator↔node rounds would otherwise wait
+// out a window per direction, Advance completes in milliseconds. The
+// session rows park retransmission, which would otherwise resend a
+// staged frame past its window after 2 ms, and check that the session
+// flushed the traffic, so its window really was on.
 func TestAdvanceIgnoresBatchWindow(t *testing.T) {
-	session := reliable.Config{RetransmitInterval: time.Minute, FlushInterval: time.Second}
+	park := reliable.Config{RetransmitInterval: time.Minute}
+	session := park
+	session.FlushInterval = time.Second
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"network window", Config{NetConfig: transport.Config{BatchWindow: time.Second}}},
 		{"session window", Config{Reliable: true, ReliableConfig: session}},
-		{"both windows, batched counters", Config{
+		{"session window from NetConfig, batched counters", Config{
 			NetConfig:       transport.Config{BatchWindow: time.Second},
 			Reliable:        true,
-			ReliableConfig:  session,
+			ReliableConfig:  park,
 			BatchedCounters: true,
 		}},
 	} {
@@ -469,6 +472,9 @@ func TestAdvanceIgnoresBatchWindow(t *testing.T) {
 				if el > 250*time.Millisecond {
 					t.Fatalf("advance %d took %v: advancement traffic waited out a batch window", want, el)
 				}
+			}
+			if tc.cfg.Reliable && c.Metrics().Transport.Flushes == 0 {
+				t.Fatal("the session flushed nothing: its window was off")
 			}
 		})
 	}

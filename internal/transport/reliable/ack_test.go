@@ -2,6 +2,7 @@ package reliable
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,32 +10,56 @@ import (
 	"repro/internal/transport"
 )
 
+// forwardFrames counts the data frames a session hands to the network
+// on link 0 → 1, flush envelopes unpacked.
+type forwardFrames struct {
+	*transport.Net
+	n atomic.Int64
+}
+
+func (w *forwardFrames) Send(m transport.Message) {
+	if m.From == 0 && m.To == 1 {
+		transport.Deliver(func(mm transport.Message) {
+			if _, ok := mm.Payload.(DataMsg); ok {
+				w.n.Add(1)
+			}
+		}, m)
+	}
+	w.Net.Send(m)
+}
+
 // TestRetransmitClockStartsAtFlush pins that a staged frame's
 // retransmit clock starts when its flush leaves, not when it is staged:
-// a frame that waits out a 50 ms window, then is delivered and acked
-// within its 5 ms timeout, is never retransmitted.
+// a frame that waits out a 100 ms window is delivered with no retransmit
+// behind it, although its timeout is 10 ms, and once acked it has left
+// the sender exactly once. Its ack rides urgent reverse data, so it does
+// not wait out a window of its own.
 func TestRetransmitClockStartsAtFlush(t *testing.T) {
-	inner := transport.NewNet(transport.Config{Nodes: 2})
-	s := Wrap(inner, 2, Config{
-		RetransmitInterval: 5 * time.Millisecond,
-		FlushInterval:      50 * time.Millisecond,
-		AckDelay:           time.Microsecond,
+	w := &forwardFrames{Net: transport.NewNet(transport.Config{Nodes: 2})}
+	s := Wrap(w, 2, Config{
+		RetransmitInterval: 10 * time.Millisecond,
+		FlushInterval:      100 * time.Millisecond,
 	})
-	got := make(chan struct{}, 1)
+	got := make(chan int64, 1)
 	s.Register(0, func(transport.Message) {})
-	s.Register(1, func(transport.Message) { got <- struct{}{} })
+	s.Register(1, func(transport.Message) { got <- s.Stats().Retransmits })
 	s.Start()
 	t.Cleanup(s.Close)
 
 	s.Send(transport.Message{From: 0, To: 1, Payload: "x"})
 	select {
-	case <-got:
+	case r := <-got:
+		if r != 0 {
+			t.Fatalf("Retransmits = %d at delivery, want 0: the frame's clock ran while it was staged", r)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("frame never delivered")
 	}
-	waitFor(t, func() bool { return s.InFlight() == 0 }, "the ack")
-	if r := s.Stats().Retransmits; r != 0 {
-		t.Fatalf("Retransmits = %d, want 0: the frame's clock ran while it was staged", r)
+	waitFor(t, func() bool { return s.owesAck(1, 0) }, "node 1 to owe the ack")
+	s.Send(transport.Message{From: 1, To: 0, Payload: seqMsg{urgent: true}})
+	waitFor(t, func() bool { return s.linkInFlight(0, 1) == 0 }, "the ack")
+	if n := w.n.Load(); n != 1 {
+		t.Fatalf("the frame left %d times, want 1", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package reliable
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,6 +38,13 @@ func (s *Session) linkInFlight(from, to int) int {
 	return l.unacked.Len()
 }
 
+// owesAck reports whether node id owes from a cumulative ack.
+func (s *Session) owesAck(id, from int) bool {
+	s.recvMu[id].Lock()
+	defer s.recvMu[id].Unlock()
+	return s.recv[id][from].ackOwed
+}
+
 // TestBatchedFIFOExactlyOnce pins the core contract with batching on:
 // every message delivered exactly once, in per-link send order, and the
 // wire actually coalesced (fewer flush envelopes than messages).
@@ -65,16 +73,59 @@ func TestBatchedFIFOExactlyOnce(t *testing.T) {
 	waitFor(t, func() bool { return s.InFlight() == 0 }, "acks to drain")
 }
 
+// envelopeCount counts the envelopes a session hands to the network on
+// node-to-node links.
+type envelopeCount struct {
+	*transport.Net
+	n atomic.Int64
+}
+
+func (w *envelopeCount) Send(m transport.Message) {
+	if m.From != m.To {
+		w.n.Add(1)
+	}
+	w.Net.Send(m)
+}
+
+// TestFlushCountMatchesEnvelopes pins that each flush is counted once,
+// by the layer that made it: ten frames over a session leave as one data
+// batch and one ack-only envelope, and Stats().Flushes reads exactly the
+// envelopes the network under the session received, whether that network
+// has a window of its own or not.
+func TestFlushCountMatchesEnvelopes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		window time.Duration
+	}{{"net window off", 0}, {"net window on", time.Hour}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &envelopeCount{Net: transport.NewNet(transport.Config{Nodes: 2, BatchWindow: tc.window})}
+			s := Wrap(w, 2, Config{RetransmitInterval: time.Minute, FlushInterval: 20 * time.Millisecond})
+			var delivered atomic.Int64
+			s.Register(0, func(transport.Message) {})
+			s.Register(1, func(transport.Message) { delivered.Add(1) })
+			s.Start()
+			t.Cleanup(s.Close)
+			for i := 0; i < 10; i++ {
+				s.Send(transport.Message{From: 0, To: 1, Payload: i})
+			}
+			waitFor(t, func() bool { return delivered.Load() == 10 && s.InFlight() == 0 }, "delivery and the ack")
+			s.Close() // waits for the ack's flush to be counted
+			if env, f := w.n.Load(), s.Stats().Flushes; env != 2 || f != env {
+				t.Fatalf("%d envelopes reached the network, Flushes = %d; want 2 and 2", env, f)
+			}
+		})
+	}
+}
+
 // TestDelayedAckNeverStarves sends one-directional traffic (no reverse
-// data to piggyback on) and asserts the AckDelay timer alone releases
-// the sender's unacked frames — without a single retransmit. If delayed
-// acks could starve, the sender's frames would sit unacked until the
-// retransmission timer prodded the receiver into re-acking.
+// data to piggyback on) and asserts the owed ack's own window alone
+// releases the sender's unacked frames — without a single retransmit. If
+// delayed acks could starve, the sender's frames would sit unacked until
+// the retransmission timer prodded the receiver into re-acking.
 func TestDelayedAckNeverStarves(t *testing.T) {
 	s, got := batchedPair(t, transport.Faults{}, Config{
 		RetransmitInterval: 500 * time.Millisecond, // long: a retransmit means acks starved
 		FlushInterval:      100 * time.Microsecond,
-		AckDelay:           time.Millisecond,
 	})
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -87,21 +138,21 @@ func TestDelayedAckNeverStarves(t *testing.T) {
 	}
 }
 
-// TestAckPiggybacksOnReverseData arranges an owed ack and reverse-
-// direction data inside the ack window, and asserts the sender's frame
-// is released far sooner than the standalone AckDelay timer could —
-// the ack must have ridden the reverse data flush.
+// TestAckPiggybacksOnReverseData owes an ack on a link with a long
+// window, then sends urgent reverse-direction data, and asserts the
+// sender's frame is released far sooner than the window would release a
+// standalone ack — the ack must have ridden the reverse data flush.
 func TestAckPiggybacksOnReverseData(t *testing.T) {
 	s, got := batchedPair(t, transport.Faults{}, Config{
 		RetransmitInterval: 5 * time.Second,
-		FlushInterval:      100 * time.Microsecond,
-		AckDelay:           2 * time.Second, // standalone ack would take this long
+		FlushInterval:      2 * time.Second, // a standalone ack would take this long
 	})
-	s.Send(transport.Message{From: 0, To: 1, Payload: "ping"})
+	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 0, urgent: true}})
 	waitFor(t, func() bool { return len(got()) == 1 }, "forward delivery")
-	// Node 1 now owes node 0 an ack. Reverse data must carry it.
-	s.Send(transport.Message{From: 1, To: 0, Payload: "pong"})
-	deadline := time.Now().Add(500 * time.Millisecond) // ≪ AckDelay
+	waitFor(t, func() bool { return s.owesAck(1, 0) }, "node 1 to owe the ack")
+	// Reverse data must carry it.
+	s.Send(transport.Message{From: 1, To: 0, Payload: seqMsg{n: 1, urgent: true}})
+	deadline := time.Now().Add(500 * time.Millisecond) // ≪ the window
 	for s.linkInFlight(0, 1) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("ack did not piggyback on the reverse data flush")

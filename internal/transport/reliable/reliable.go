@@ -55,6 +55,10 @@ type AckMsg struct {
 // session's next flush.
 func (DataMsg) Flushed() {}
 
+// Urgent makes a frame flush its link at once exactly when its payload
+// asks to (transport.Urgent).
+func (d DataMsg) Urgent() bool { return transport.IsUrgent(d.Payload) }
+
 // Flushed marks acks as already flushed, like data frames.
 func (AckMsg) Flushed() {}
 
@@ -127,21 +131,19 @@ type Config struct {
 	RetransmitInterval time.Duration
 	// MaxBackoff caps the per-frame exponential backoff; 0 means 50ms.
 	MaxBackoff time.Duration
-	// FlushInterval, when positive, turns on frame batching: data frames
-	// stage on a per-link outbox and leave as one transport.BatchMsg
-	// envelope when the window expires (or the outbox hits maxBatch, or
-	// a frame whose payload is transport.Urgent is staged), so the inner
-	// network moves a whole flush per send. A staged frame's retransmit
-	// clock starts when its flush leaves. 0 disables batching — every
-	// frame is transmitted individually, exactly the pre-batching
-	// behaviour.
+	// FlushInterval, when positive, turns on frame batching: the session
+	// runs its frames through a transport.Coalescer with this window, so
+	// each link's frames leave as one transport.BatchMsg envelope per
+	// flush (early on a full buffer or a frame whose payload is
+	// transport.Urgent) and the inner network moves a whole flush per
+	// send. A staged frame's retransmit clock starts when its flush
+	// leaves. An owed cumulative ack opens the reverse link's window and
+	// leaves with that link's next flush, alone if no data was staged, so
+	// it is never owed longer than one window; keep FlushInterval well
+	// below RetransmitInterval or delayed acks provoke spurious
+	// retransmits. 0 disables batching — every frame and ack is
+	// transmitted individually.
 	FlushInterval time.Duration
-	// AckDelay, when batching is on, is how long a receiver may owe a
-	// cumulative ack before a standalone one is forced out; within the
-	// window an owed ack piggybacks on the next data flush in the reverse
-	// direction for free. It must stay well below RetransmitInterval or
-	// delayed acks provoke spurious retransmits. 0 means FlushInterval.
-	AckDelay time.Duration
 	// Journal, when non-nil, receives the durability callbacks above.
 	Journal Journal
 	// Gate, when non-nil, brackets every inbound dispatch — watermark
@@ -172,14 +174,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 50 * time.Millisecond
 	}
-	if c.FlushInterval > 0 && c.AckDelay <= 0 {
-		c.AckDelay = c.FlushInterval
-	}
 	return c
 }
-
-// maxBatch caps frames per flush envelope.
-const maxBatch = 256
 
 // pendingFrame is one sent-but-unacknowledged data frame.
 type pendingFrame struct {
@@ -189,7 +185,7 @@ type pendingFrame struct {
 	// nextResend is when the retransmit scanner next re-offers the frame.
 	// It holds notSent until the frame is first handed to the inner
 	// network (see startClocks): a frame waiting for its journal record
-	// or on its link's outbox is never retransmitted.
+	// or staged on its link is never retransmitted.
 	nextResend time.Time
 }
 
@@ -202,17 +198,6 @@ type sendLink struct {
 	nextSeq uint64
 	// unacked is ascending by seq; acks pop from its head.
 	unacked ring.Ring[pendingFrame]
-	// Batching state (FlushInterval > 0 only): frames staged for the
-	// next flush, in send order, whether the window timer is armed, and
-	// the timer itself (allocated on first use, re-armed with Reset).
-	outbox     []transport.Message
-	flushArmed bool
-	flushTimer *time.Timer
-	// out serializes the link's flushes: a flush takes the outbox and
-	// emits it while holding out, so flushes leave in the order they
-	// took their frames — an urgent or full-outbox flush is never
-	// overtaken by the window timer's flush of frames staged after it.
-	out sync.Mutex
 }
 
 // bufEntry is one received-but-undelivered frame: its payload, the
@@ -228,16 +213,13 @@ type bufEntry struct {
 type recvLink struct {
 	nextExpected uint64              // next in-order seq to deliver
 	buffer       map[uint64]bufEntry // out-of-order frames by seq
-	// Delayed-ack state (FlushInterval > 0 only): whether a cumulative
-	// ack is owed to the sender, whether the AckDelay timer that bounds
-	// the debt is armed, and that timer. The watermark itself
-	// (nextExpected) is always current — delaying the ack never delays
-	// delivery, and NoteRecv has already made the watermark durable, so
-	// a late ack is merely a late release of the sender's retransmit
-	// state.
-	ackOwed  bool
-	ackArmed bool
-	ackTimer *time.Timer
+	// ackOwed (batching only) records that a cumulative ack is owed to
+	// the sender; the next flush toward it carries the ack. The watermark
+	// itself (nextExpected) is always current — delaying the ack never
+	// delays delivery, and NoteRecv has already made the watermark
+	// durable, so a late ack is merely a late release of the sender's
+	// retransmit state.
+	ackOwed bool
 }
 
 // Session is the reliable-delivery decorator. It implements
@@ -261,29 +243,16 @@ type Session struct {
 	// (the common idle state) the tick returns without touching any of
 	// the n² link locks.
 	unackedTotal atomic.Int64
-	// flushes counts link flush envelopes (batching only).
-	flushes atomic.Int64
 
-	batching bool // cfg.FlushInterval > 0
+	// co stages frames and owed acks behind the flush window; nil when
+	// FlushInterval is 0.
+	co *transport.Coalescer
 
 	mu      sync.Mutex
 	started bool
 	closed  bool
 	stop    chan struct{}
 	wg      sync.WaitGroup
-	// closing stops new window timers from being armed: frames and acks
-	// from then on leave at once. Both arming sites read it under the
-	// lock that guards their armed flag (a link's mu, a node's recvMu);
-	// Close sets it before a final sweep that takes every one of those
-	// locks, so an arm either happened before the sweep (whose flush
-	// leaves the timer nothing to do) or sees the flag.
-	closing atomic.Bool
-	// timerMu fences window timers off the inner network: a firing timer
-	// holds it for reading while it flushes, and Close sets timersOff
-	// under the write lock before closing the inner network, so no timer
-	// sends into a closed network and Close never waits out a window.
-	timerMu   sync.RWMutex
-	timersOff bool
 }
 
 // Wrap decorates inner (serving node ids 0..nodes-1) with the session
@@ -295,7 +264,6 @@ func Wrap(inner transport.Network, nodes int, cfg Config) *Session {
 	s := &Session{
 		inner:    inner,
 		cfg:      cfg.withDefaults(),
-		batching: cfg.FlushInterval > 0,
 		n:        nodes,
 		handlers: make([]transport.Handler, nodes),
 		send:     make([][]*sendLink, nodes),
@@ -310,6 +278,10 @@ func Wrap(inner transport.Network, nodes int, cfg Config) *Session {
 			s.send[i][j] = &sendLink{}
 			s.recv[i][j] = &recvLink{nextExpected: 1, buffer: make(map[uint64]bufEntry)}
 		}
+	}
+	if cfg.FlushInterval > 0 {
+		s.co = transport.NewCoalescer(nodes, cfg.FlushInterval, s.emit)
+		s.co.SetObs(cfg.Obs)
 	}
 	if st := s.cfg.Restore; st != nil {
 		for _, ls := range st.Send {
@@ -403,67 +375,10 @@ func (s *Session) Close() {
 	s.mu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
-	if s.batching {
-		// Final sweep: emit every staged outbox (and piggybacked acks)
-		// before the inner network's gate drops. Frames and acks that
-		// arrive from here on leave at once (see closing), so armed
-		// window timers have nothing left to do: stop them instead of
-		// waiting them out, and fence off any already firing (timerMu).
-		s.closing.Store(true)
-		for from := 0; from < s.n; from++ {
-			for to := 0; to < s.n; to++ {
-				s.flushLink(model.NodeID(from), model.NodeID(to))
-			}
-		}
-		for id := 0; id < s.n; id++ {
-			for from := 0; from < s.n; from++ {
-				s.flushAck(model.NodeID(id), model.NodeID(from))
-			}
-		}
-		s.stopTimers()
+	if s.co != nil {
+		s.co.Close()
 	}
 	s.inner.Close()
-}
-
-// stopTimers stops every window timer and waits for any callback
-// already past its start to finish; callbacks that run later find
-// timersOff and send nothing.
-func (s *Session) stopTimers() {
-	for from := 0; from < s.n; from++ {
-		for to := 0; to < s.n; to++ {
-			l := s.send[from][to]
-			l.mu.Lock()
-			if l.flushTimer != nil {
-				l.flushTimer.Stop()
-			}
-			l.mu.Unlock()
-		}
-	}
-	for id := 0; id < s.n; id++ {
-		s.recvMu[id].Lock()
-		for _, rl := range s.recv[id] {
-			if rl.ackTimer != nil {
-				rl.ackTimer.Stop()
-			}
-		}
-		s.recvMu[id].Unlock()
-	}
-	s.timerMu.Lock()
-	s.timersOff = true
-	s.timerMu.Unlock()
-}
-
-// afterWindow returns a timer that runs f after d, unless the session
-// has stopped its timers by then (see timerMu). Callers re-arm it with
-// Reset.
-func (s *Session) afterWindow(d time.Duration, f func()) *time.Timer {
-	return time.AfterFunc(d, func() {
-		s.timerMu.RLock()
-		defer s.timerMu.RUnlock()
-		if !s.timersOff {
-			f()
-		}
-	})
 }
 
 // Send implements Network: the payload is enveloped with the link's
@@ -493,61 +408,16 @@ func (s *Session) Send(m transport.Message) {
 	s.release(env)
 }
 
-// release hands on a tracked frame: to its link's outbox when batching,
+// release hands on a tracked frame: to its link's window when batching,
 // else straight to the inner network, starting its retransmit clock as
 // it leaves.
 func (s *Session) release(env transport.Message) {
-	if s.batching {
-		s.stage(env)
+	if s.co != nil {
+		s.co.Stage(env)
 		return
 	}
 	s.startClocks(s.send[env.From][env.To], []transport.Message{env}, time.Now())
 	s.inner.Send(env)
-}
-
-// stage parks an enveloped frame on its link's outbox; the first frame
-// arms the flush window, a full outbox, an urgent frame (or any frame
-// staged while the session is closing) flushes the link immediately.
-// The frame is already tracked in unacked (and journaled); its
-// retransmit clock starts when the flush leaves, so a drop after that
-// is repaired by retransmission like any other loss.
-func (s *Session) stage(env transport.Message) {
-	l := s.send[env.From][env.To]
-	l.mu.Lock()
-	l.outbox = append(l.outbox, env)
-	if len(l.outbox) >= maxBatch || s.closing.Load() || transport.IsUrgent(env.Payload.(DataMsg).Payload) {
-		l.mu.Unlock()
-		s.flushLink(env.From, env.To)
-		return
-	}
-	if !l.flushArmed {
-		l.flushArmed = true
-		if l.flushTimer == nil {
-			from, to := env.From, env.To
-			l.flushTimer = s.afterWindow(s.cfg.FlushInterval, func() { s.flushLink(from, to) })
-		} else {
-			// Re-arming is safe whether or not the timer has fired: at
-			// worst a stale callback flushes early (a short window) and
-			// the re-armed one finds the outbox empty.
-			l.flushTimer.Reset(s.cfg.FlushInterval)
-		}
-	}
-	l.mu.Unlock()
-}
-
-// flushLink drains one link's outbox (window expiry, a full outbox, an
-// urgent frame, or the final sweep in Close) and emits the flush. When
-// it returns, everything staged on the link before the call has left.
-func (s *Session) flushLink(from, to model.NodeID) {
-	l := s.send[from][to]
-	l.out.Lock()
-	defer l.out.Unlock()
-	l.mu.Lock()
-	msgs := l.outbox
-	l.outbox = nil
-	l.flushArmed = false
-	l.mu.Unlock()
-	s.emit(from, to, msgs)
 }
 
 // startClocks starts the retransmit clock of every frame in msgs, which
@@ -568,13 +438,13 @@ func (s *Session) startClocks(l *sendLink, msgs []transport.Message, now time.Ti
 	}
 }
 
-// emit sends one flush on the link from → to: the staged frames plus,
+// emit is the coalescer's flush callback for the link from → to: it
+// starts the retransmit clocks of the staged frames and appends,
 // piggybacked for free, any cumulative ack this node owes the peer for
-// the reverse direction. A single frame leaves unwrapped; two or more
-// leave as one BatchMsg envelope, which the inner network moves as a
-// unit (one syscall, one fault draw) and unpacks in order on delivery,
-// preserving per-link FIFO.
-func (s *Session) emit(from, to model.NodeID, msgs []transport.Message) {
+// the reverse direction. The frames (and the ack) leave as one envelope
+// the inner network moves as a unit (one syscall, one fault draw) and
+// unpacks in order on delivery, preserving per-link FIFO.
+func (s *Session) emit(from, to model.NodeID, msgs []transport.Message) int {
 	if len(msgs) > 0 {
 		s.startClocks(s.send[from][to], msgs, time.Now())
 	}
@@ -585,34 +455,10 @@ func (s *Session) emit(from, to model.NodeID, msgs []transport.Message) {
 		msgs = append(msgs, transport.Message{From: from, To: to, Payload: AckMsg{CumAck: rl.nextExpected - 1}})
 	}
 	s.recvMu[from].Unlock()
-	switch len(msgs) {
-	case 0:
-		return
-	case 1:
-		s.flushes.Add(1)
-		s.inner.Send(msgs[0])
-	default:
-		s.flushes.Add(1)
-		s.inner.Send(transport.Message{From: from, To: to, Payload: transport.BatchMsg{Msgs: msgs}})
+	if len(msgs) > 0 {
+		s.inner.Send(transport.Envelope(from, to, msgs))
 	}
-}
-
-// flushAck forces out a standalone cumulative ack when the AckDelay
-// window expires with the debt still unpaid (no reverse data flush
-// absorbed it) — the guarantee that delayed acks never starve a sender
-// into retransmitting.
-func (s *Session) flushAck(id, from model.NodeID) {
-	rl := s.recv[id][from]
-	s.recvMu[id].Lock()
-	rl.ackArmed = false
-	if !rl.ackOwed {
-		s.recvMu[id].Unlock()
-		return
-	}
-	rl.ackOwed = false
-	ack := rl.nextExpected - 1
-	s.recvMu[id].Unlock()
-	s.inner.Send(transport.Message{From: id, To: from, Payload: AckMsg{CumAck: ack}})
+	return len(msgs)
 }
 
 // PreparedSend is a sequence-numbered frame that has not yet been
@@ -667,26 +513,13 @@ func (s *Session) CommitPrepared(frames []PreparedSend) {
 }
 
 // dispatch is the handler the Session registers with the inner
-// network for node id.
+// network for node id. Every transport unpacks flush envelopes before
+// calling it (transport.Deliver; tcpnet at routing).
 func (s *Session) dispatch(id model.NodeID, m transport.Message) {
 	if g := s.cfg.Gate; g != nil {
 		g.RLock()
 		defer g.RUnlock()
 	}
-	if b, ok := m.Payload.(transport.BatchMsg); ok {
-		// Defensive unpacking for transports that deliver flush envelopes
-		// whole (the in-process Net and tcpnet both unpack before the
-		// handler, so this path is a safety net). Members process in
-		// order under the same gate acquisition.
-		for _, mm := range b.Msgs {
-			s.dispatchOne(id, mm)
-		}
-		return
-	}
-	s.dispatchOne(id, m)
-}
-
-func (s *Session) dispatchOne(id model.NodeID, m transport.Message) {
 	switch p := m.Payload.(type) {
 	case DataMsg:
 		s.onData(id, m.From, p, m.TC)
@@ -763,32 +596,20 @@ func (s *Session) onData(id, from model.NodeID, d DataMsg, tc obs.TraceContext) 
 		// offered again, so it must never be forgotten.
 		s.cfg.Journal.NoteRecv(id, from, ack+1)
 	}
-	if !s.batching {
+	if s.co == nil {
 		s.inner.Send(transport.Message{From: id, To: from, Payload: AckMsg{CumAck: ack}})
 		return
 	}
-	// Delayed ack: record the debt and bound it with the AckDelay timer.
-	// The next data flush toward the sender pays it for free (see emit);
-	// otherwise the timer forces a standalone ack, so a sender is never
-	// starved into retransmitting by ack batching alone. Deferring is
-	// safe: NoteRecv above already made the watermark durable, and an
-	// unacked frame is merely re-offered, never lost.
+	// Delayed ack: record the debt and open the reverse link's window.
+	// Its flush carries the ack (see emit), with whatever data is staged
+	// on that link by then, so a sender is never starved into
+	// retransmitting by ack batching alone. Deferring is safe: NoteRecv
+	// above already made the watermark durable, and an unacked frame is
+	// merely re-offered, never lost.
 	s.recvMu[id].Lock()
-	if s.closing.Load() {
-		s.recvMu[id].Unlock()
-		s.inner.Send(transport.Message{From: id, To: from, Payload: AckMsg{CumAck: ack}})
-		return
-	}
 	rl.ackOwed = true
-	if !rl.ackArmed {
-		rl.ackArmed = true
-		if rl.ackTimer == nil {
-			rl.ackTimer = s.afterWindow(s.cfg.AckDelay, func() { s.flushAck(id, from) })
-		} else {
-			rl.ackTimer.Reset(s.cfg.AckDelay)
-		}
-	}
 	s.recvMu[id].Unlock()
+	s.co.Arm(id, from)
 }
 
 // onAck handles a cumulative ack for the link id → from.
@@ -863,11 +684,11 @@ func (s *Session) scanOverdue(now time.Time) {
 				continue
 			}
 			s.retransmits.Add(int64(len(resend)))
-			if s.batching && len(resend) > 1 {
+			if s.co != nil {
 				// Re-batch the link's overdue frames into one envelope:
 				// frames that travelled together retransmit together, as
 				// one unit on the wire, still ascending by seq.
-				s.inner.Send(transport.Message{From: model.NodeID(from), To: model.NodeID(to), Payload: transport.BatchMsg{Msgs: resend}})
+				s.inner.Send(transport.Envelope(model.NodeID(from), model.NodeID(to), resend))
 				continue
 			}
 			for _, m := range resend {
@@ -883,7 +704,9 @@ func (s *Session) Stats() transport.Stats {
 	st := s.inner.Stats()
 	st.Retransmits += s.retransmits.Load()
 	st.DupDropped += s.dupDropped.Load()
-	st.Flushes += s.flushes.Load()
+	if s.co != nil {
+		st.Flushes += s.co.Flushes()
+	}
 	return st
 }
 

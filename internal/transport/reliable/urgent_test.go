@@ -60,7 +60,7 @@ func TestSessionUrgentFlushesAtOnce(t *testing.T) {
 	// An ordinary frame flushed alone — what the session's window timer
 	// does — leaves the network at once too.
 	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 4}})
-	s.flushLink(0, 1)
+	s.co.Flush(0, 1)
 	expect(4, 5)
 }
 
@@ -95,7 +95,7 @@ func TestSessionFlushFIFOOverBatchingNet(t *testing.T) {
 	t.Cleanup(s.Close)
 
 	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 0}})
-	s.flushLink(0, 1) // the window timer's one-frame flush
+	s.co.Flush(0, 1) // the window timer's one-frame flush
 	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 1}})
 	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 2}})
 	s.Send(transport.Message{From: 0, To: 1, Payload: seqMsg{n: 3, urgent: true}})
@@ -199,9 +199,9 @@ func TestSessionUrgentFIFO(t *testing.T) {
 	}
 }
 
-// TestCloseReturnsPromptly arms both kinds of window timer — a staged
-// flush and an owed delayed ack — on a 10 s window, then closes: Close
-// must stop them rather than wait them out.
+// TestCloseReturnsPromptly arms window timers on a 10 s window — one for
+// an owed ack, one for a staged frame — then closes: Close must stop
+// them rather than wait them out.
 func TestCloseReturnsPromptly(t *testing.T) {
 	inner := transport.NewNet(transport.Config{Nodes: 2})
 	s := Wrap(inner, 2, Config{RetransmitInterval: time.Minute, FlushInterval: 10 * time.Second})

@@ -464,43 +464,39 @@ func (n *Net) appendFrame(buf []byte, m transport.Message, reg *obs.Registry) ([
 // encodeBatched encodes one writer pass as batch frames: maximal runs
 // of ordinary messages become one BatchMsg envelope each, while
 // messages that already are flush envelopes (upper-layer BatchMsg)
-// pass through as their own frames, since batches must not nest. Every
-// frame written is one flush for the batch-size histogram.
+// pass through as their own frames, since batches must not nest. A
+// frame counts as a flush for the batch-size histogram only when the
+// writer made it: a pass-through envelope, or a run of one frame a
+// coalescer above already flushed, was counted where it was made.
 func (n *Net) encodeBatched(buf []byte, batch []transport.Message, reg *obs.Registry, addr string) []byte {
-	i := 0
-	for i < len(batch) {
-		if b, isBatch := batch[i].Payload.(transport.BatchMsg); isBatch {
-			if out, ok := n.appendFrame(buf, batch[i], reg); ok {
-				buf = out
-				n.flushes.Add(1)
-				reg.ObserveBatchSize(addr, len(b.Msgs))
-			}
-			i++
-			continue
-		}
+	for i := 0; i < len(batch); {
 		j := i + 1
-		for j < len(batch) {
-			if _, isBatch := batch[j].Payload.(transport.BatchMsg); isBatch {
-				break
+		if !isBatch(batch[i]) {
+			for j < len(batch) && !isBatch(batch[j]) {
+				j++
 			}
-			j++
 		}
 		run := batch[i:j]
-		m := run[0]
-		if len(run) > 1 {
-			m = transport.Message{From: run[0].From, To: run[0].To, Payload: transport.BatchMsg{Msgs: run}}
+		i = j
+		m := transport.Envelope(run[0].From, run[0].To, run)
+		out, ok := n.appendFrame(buf, m, reg)
+		if !ok {
+			// appendFrame counted one drop; an envelope loses its whole run.
+			n.dropped.Add(int64(len(run) - 1))
+			continue
 		}
-		if out, ok := n.appendFrame(buf, m, reg); ok {
-			buf = out
+		buf = out
+		if len(run) > 1 || !transport.IsFlushed(m.Payload) {
 			n.flushes.Add(1)
 			reg.ObserveBatchSize(addr, len(run))
-		} else if len(run) > 1 {
-			// appendFrame counted one drop; the envelope lost a whole run.
-			n.dropped.Add(int64(len(run) - 1))
 		}
-		i = j
 	}
 	return buf
+}
+
+func isBatch(m transport.Message) bool {
+	_, ok := m.Payload.(transport.BatchMsg)
+	return ok
 }
 
 // dial establishes the link's outbound connection, backing off

@@ -69,6 +69,9 @@ type BatchMsg struct {
 	Msgs []Message
 }
 
+// Flushed marks a BatchMsg as a flush its maker already coalesced.
+func (BatchMsg) Flushed() {}
+
 func init() { RegisterPayloadName(BatchMsg{}, "batch") }
 
 // Urgent is implemented by payloads that must not wait out a coalescing
@@ -85,14 +88,16 @@ func IsUrgent(p any) bool {
 	return ok && u.Urgent()
 }
 
-// Flushed is implemented by payloads that an upper layer has already
-// coalesced and flushed on their link: the session frames and acks of
-// transport/reliable. A batching Net sends them on at once, as it does a
-// BatchMsg. Staging one again would let that layer's next flush, a
-// BatchMsg that is never staged, overtake it.
+// Flushed is implemented by payloads that a coalescer has already
+// flushed on their link: BatchMsg envelopes and the session frames and
+// acks of transport/reliable. A batching Net sends them on at once and
+// does not count them as its own flushes. Staging a one-frame session
+// flush again would let the session's next flush, a BatchMsg, overtake
+// it.
 type Flushed interface{ Flushed() }
 
-func isFlushed(p any) bool {
+// IsFlushed reports whether payload p has already left a coalescer.
+func IsFlushed(p any) bool {
 	_, ok := p.(Flushed)
 	return ok
 }
@@ -194,11 +199,13 @@ type Stats struct {
 	// down before the protocol quiesced.
 	CloseDropped int64
 
-	// Flushes counts link flushes when batching is enabled (every
-	// envelope that left a node-to-node link, single-message flushes
-	// included; loopback sends cross no link and are not counted); 0
-	// when batching is off. Mean batch size is Messages-ish / Flushes;
-	// the per-link size distribution lives in the obs registry.
+	// Flushes counts the envelopes a coalescer emitted on node-to-node
+	// links (single-message and ack-only flushes included), each once, by
+	// the layer that made it: the Net's window on a bare mem stack, the
+	// session's under a session, tcpnet's writer for the runs it packs.
+	// Envelopes passing through a lower layer are not counted again, and
+	// loopback sends cross no link. 0 when batching is off; the per-link
+	// size distribution lives in the obs registry.
 	Flushes int64
 
 	// Session-layer accounting (reliable transport only; see
@@ -348,22 +355,18 @@ type Config struct {
 	// the FaultInjector methods.
 	Faults Faults
 
-	// BatchWindow, when positive, coalesces each directed link's sends
-	// for up to this long (or until maxBatch are staged, or an Urgent
-	// message is staged) and dispatches them as one BatchMsg envelope.
-	// The envelope is one unit to the fault layer — a drop loses the
-	// whole flush, a duplicate copies it — exactly like a batched frame
-	// on a real wire. Only node-to-node links are windowed: a loopback
-	// message (From == To) crosses no link and leaves at once, and so do
-	// envelopes an upper layer has already flushed (BatchMsg, Flushed
-	// payloads). 0 disables batching: every message dispatches
-	// individually.
+	// BatchWindow, when positive, runs the Net's sends through a
+	// Coalescer with this window: each directed link's messages leave as
+	// one BatchMsg envelope per flush. The envelope is one unit to the
+	// fault layer — a drop loses the whole flush, a duplicate copies it —
+	// exactly like a batched frame on a real wire. Only node-to-node
+	// links are windowed: a loopback message (From == To) crosses no link
+	// and leaves at once, and so do envelopes a coalescer above has
+	// already flushed (Flushed payloads). core builds its Net with no
+	// window under a reliable session, whose window is the stack's one.
+	// 0 disables batching: every message dispatches individually.
 	BatchWindow time.Duration
 }
-
-// maxBatch caps messages per link flush: a full buffer flushes without
-// waiting out the window.
-const maxBatch = 256
 
 // Net is the live network. Each node has one mailbox and one delivery
 // goroutine invoking its handler; latency/jitter are imposed by timer
@@ -375,11 +378,7 @@ type Net struct {
 	stats    StatsCollector
 	fs       faultState
 
-	// Link batching (nil slices when Config.BatchWindow == 0).
-	links      []*linkBuf // staging buffers, indexed from*Nodes+to; nil on the diagonal
-	linkLabels []string   // "from→to" histogram labels, same index
-	flushes    atomic.Int64
-	reg        atomic.Pointer[obs.Registry]
+	co *Coalescer // nil when Config.BatchWindow == 0
 
 	// Central delay queue: all latency/jitter-delayed sends wait in one
 	// deadline-ordered heap serviced by a single goroutine, instead of a
@@ -401,30 +400,9 @@ type Net struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	started bool
-	closing bool
 	closed  bool
 	wg      sync.WaitGroup // delivery goroutines
 	timers  sync.WaitGroup // in-flight delayed sends
-}
-
-// linkBuf stages one directed link's coalescing window: messages
-// accumulate under mu until the window timer (armed by the first
-// message), a full buffer or an urgent message flushes them as one
-// envelope. The timer is allocated once per link and re-armed with
-// Reset — at tens of thousands of flushes per second a fresh AfterFunc
-// per window is measurable allocation churn on the hot path.
-//
-// out serializes the link's flushes: a flush takes the buffer and
-// transmits it while holding out, so flushes leave in the order they
-// took their messages. Without it a flush triggered by a full buffer or
-// an urgent message could be overtaken by the window timer's flush of
-// messages staged after it.
-type linkBuf struct {
-	mu    sync.Mutex
-	msgs  []Message
-	armed bool
-	timer *time.Timer
-	out   sync.Mutex
 }
 
 // NewNet builds a live network from cfg.
@@ -450,24 +428,23 @@ func NewNet(cfg Config) *Net {
 		n.boxes[i] = newMailbox()
 	}
 	if cfg.BatchWindow > 0 {
-		n.links = make([]*linkBuf, cfg.Nodes*cfg.Nodes)
-		n.linkLabels = make([]string, cfg.Nodes*cfg.Nodes)
-		for from := 0; from < cfg.Nodes; from++ {
-			for to := 0; to < cfg.Nodes; to++ {
-				if from == to {
-					continue // loopback is never staged (see Send)
-				}
-				n.links[from*cfg.Nodes+to] = &linkBuf{}
-				n.linkLabels[from*cfg.Nodes+to] = fmt.Sprintf("%d→%d", from, to)
+		n.co = NewCoalescer(cfg.Nodes, cfg.BatchWindow, func(from, to model.NodeID, msgs []Message) int {
+			if len(msgs) > 0 {
+				n.transmit(Envelope(from, to, msgs))
 			}
-		}
+			return len(msgs)
+		})
 	}
 	return n
 }
 
 // SetObs attaches an observability registry for the per-link
 // batch-size histograms. Safe to call at any time (including never).
-func (n *Net) SetObs(r *obs.Registry) { n.reg.Store(r) }
+func (n *Net) SetObs(r *obs.Registry) {
+	if n.co != nil {
+		n.co.SetObs(r)
+	}
+}
 
 // Register implements Network.
 func (n *Net) Register(id model.NodeID, h Handler) {
@@ -518,27 +495,16 @@ func (n *Net) rnd() float64 {
 // extra-delayed before dispatch (never for loopback sends).
 //
 // With batching on, only messages that cross a link and have not been
-// flushed by an upper layer are staged. A loopback message is one
+// flushed by a coalescer above are staged. A loopback message is one
 // mailbox insert, so there is no per-envelope cost for a window to
-// share: it leaves at once and is not a link flush. Pre-flushed
-// envelopes are never re-staged but are observed, so the obs histograms
-// see every flush on this net: a BatchMsg always, a Flushed frame where
-// it would otherwise have been staged.
+// share: it leaves at once and is not a link flush.
 func (n *Net) Send(m Message) {
 	if int(m.To) < 0 || int(m.To) >= len(n.boxes) {
 		panic(fmt.Sprintf("transport: send to unknown node %d", m.To))
 	}
 	n.stats.Count(m)
-	b, isBatch := m.Payload.(BatchMsg)
-	switch {
-	case m.From == m.To: // loopback: no link to flush
-	case isBatch:
-		n.observeFlush(m.From, m.To, len(b.Msgs))
-	case n.links == nil: // batching off
-	case isFlushed(m.Payload):
-		n.observeFlush(m.From, m.To, 1)
-	default:
-		n.stage(m)
+	if n.co != nil && m.From != m.To && !IsFlushed(m.Payload) {
+		n.co.Stage(m)
 		return
 	}
 	n.transmit(m)
@@ -561,73 +527,6 @@ func (n *Net) transmit(m Message) {
 	if dup {
 		n.duplicated.Add(1)
 		n.dispatch(m, extra)
-	}
-}
-
-// stage parks a message on its link's coalescing buffer; the first
-// message arms the window timer, a full buffer or an urgent message
-// flushes the link immediately. Loopback messages never get here (the
-// diagonal has no buffer).
-func (n *Net) stage(m Message) {
-	lb := n.links[int(m.From)*n.cfg.Nodes+int(m.To)]
-	lb.mu.Lock()
-	lb.msgs = append(lb.msgs, m)
-	if len(lb.msgs) >= maxBatch || IsUrgent(m.Payload) {
-		lb.mu.Unlock()
-		n.flushLink(m.From, m.To)
-		return
-	}
-	if !lb.armed {
-		lb.armed = true
-		if lb.timer == nil {
-			from, to := m.From, m.To
-			lb.timer = time.AfterFunc(n.cfg.BatchWindow, func() { n.flushLink(from, to) })
-		} else {
-			// Re-arming is safe whether or not the timer has fired (an
-			// urgent flush disarms the link with its timer pending): at
-			// worst a stale callback drains the buffer early (a
-			// harmless short window) and the re-armed one finds it
-			// empty.
-			lb.timer.Reset(n.cfg.BatchWindow)
-		}
-	}
-	lb.mu.Unlock()
-}
-
-// flushLink drains one link's staging buffer (window expiry, a full
-// buffer, an urgent message, or the final sweep in Close). When it
-// returns, everything staged on the link before the call has left.
-func (n *Net) flushLink(from, to model.NodeID) {
-	lb := n.links[int(from)*n.cfg.Nodes+int(to)]
-	lb.out.Lock()
-	defer lb.out.Unlock()
-	lb.mu.Lock()
-	msgs := lb.msgs
-	lb.msgs = nil
-	lb.armed = false
-	lb.mu.Unlock()
-	if len(msgs) > 0 {
-		n.flush(from, to, msgs)
-	}
-}
-
-func (n *Net) flush(from, to model.NodeID, msgs []Message) {
-	n.observeFlush(from, to, len(msgs))
-	if len(msgs) == 1 {
-		n.transmit(msgs[0])
-		return
-	}
-	n.transmit(Message{From: from, To: to, Payload: BatchMsg{Msgs: msgs}})
-}
-
-func (n *Net) observeFlush(from, to model.NodeID, size int) {
-	n.flushes.Add(1)
-	if r := n.reg.Load(); r != nil {
-		label := fmt.Sprintf("%d→%d", from, to)
-		if n.linkLabels != nil && int(from) >= 0 && int(from) < n.cfg.Nodes && int(to) >= 0 && int(to) < n.cfg.Nodes {
-			label = n.linkLabels[int(from)*n.cfg.Nodes+int(to)]
-		}
-		r.ObserveBatchSize(label, size)
 	}
 }
 
@@ -753,26 +652,16 @@ func (n *Net) delayLoop() {
 // and counted in Stats.CloseDropped; callers quiesce the protocol
 // before closing, so a nonzero count is logged as a likely quiesce bug.
 func (n *Net) Close() {
+	// Final sweep of the coalescing buffers before the gate drops, so
+	// staged messages are delivered rather than close-dropped.
+	if n.co != nil {
+		n.co.Close()
+	}
 	n.mu.Lock()
-	if n.closing {
+	if n.closed {
 		n.mu.Unlock()
 		return
 	}
-	n.closing = true
-	n.mu.Unlock()
-	// Final sweep of the coalescing buffers before the gate drops, so
-	// staged messages are delivered rather than close-dropped (their
-	// window timers may fire after the gate and find nothing to do).
-	if n.links != nil {
-		for from := 0; from < n.cfg.Nodes; from++ {
-			for to := 0; to < n.cfg.Nodes; to++ {
-				if from != to {
-					n.flushLink(model.NodeID(from), model.NodeID(to))
-				}
-			}
-		}
-	}
-	n.mu.Lock()
 	n.closed = true
 	n.mu.Unlock()
 	n.timers.Wait() // the delay loop drains every parked send first
@@ -800,7 +689,9 @@ func (n *Net) Stats() Stats {
 	s.Duplicated = n.duplicated.Load()
 	s.PartitionDrops = n.partitionDrops.Load()
 	s.CloseDropped = n.closeDropped.Load()
-	s.Flushes = n.flushes.Load()
+	if n.co != nil {
+		s.Flushes = n.co.Flushes()
+	}
 	return s
 }
 

@@ -124,8 +124,8 @@ func sendSeq(senders, per int, send func(seqMsg)) {
 
 // TestNetLoopbackIgnoresBatchWindow pins that only node-to-node links
 // are windowed: with an hour-long window, a 0 → 1 message stays staged
-// while a loopback message, sent after it, is delivered at once and is
-// not counted as a link flush. The diagonal has no staging buffer.
+// while a loopback message, sent after it, is delivered at once, is
+// never staged and is not counted as a link flush.
 func TestNetLoopbackIgnoresBatchWindow(t *testing.T) {
 	n := NewNet(Config{Nodes: 2, BatchWindow: time.Hour})
 	self := make(chan int, 1)
@@ -134,12 +134,11 @@ func TestNetLoopbackIgnoresBatchWindow(t *testing.T) {
 	n.Register(1, func(m Message) { peer <- m.Payload.(seqMsg).n })
 	n.Start()
 	defer n.Close()
-	if n.links[0] != nil || n.links[3] != nil {
-		t.Fatal("NewNet allocated a staging buffer for a loopback link")
-	}
-
 	n.Send(Message{From: 0, To: 1, Payload: seqMsg{n: 1}})
 	n.Send(Message{From: 0, To: 0, Payload: seqMsg{n: 2}})
+	if n.co.Staged(0, 1) != 1 || n.co.Staged(0, 0) != 0 {
+		t.Fatalf("staged 0→1: %d, 0→0: %d; want 1 and 0", n.co.Staged(0, 1), n.co.Staged(0, 0))
+	}
 	select {
 	case <-self:
 	case <-time.After(5 * time.Second):

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -69,21 +68,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusedWhileInFlight holds a multi-node update in flight
+// by cutting the link its child travels on: the snapshot is refused while
+// the update is pending, and accepted once the link heals and it settles.
 func TestSnapshotRefusedWhileInFlight(t *testing.T) {
-	db := openTestDB(t, Config{NetworkLatency: 5 * time.Millisecond})
+	db := openTestDB(t, Config{Reliable: true})
 	db.Preload(0, "a", map[string]int64{"bal": 0})
 	db.Preload(1, "b", map[string]int64{"bal": 0})
-	// Multi-node update still in flight (high latency, no wait).
-	if _, err := db.Submit(At(0).Add("a", "bal", 1).
-		Child(At(1).Add("b", "bal", 1)).Update()); err != nil {
+	db.Faults().Partition(0, 1)
+	h, err := db.Submit(At(0).Add("a", "bal", 1).
+		Child(At(1).Add("b", "bal", 1)).Update())
+	if err != nil {
 		t.Fatal(err)
 	}
-	err := db.SaveSnapshot(filepath.Join(t.TempDir(), "x.snap"))
+	path := filepath.Join(t.TempDir(), "x.snap")
+	err = db.SaveSnapshot(path)
 	if err == nil {
 		t.Fatal("snapshot of a non-quiescent database accepted")
 	}
 	if !strings.Contains(err.Error(), "refused") {
 		t.Errorf("error = %v, want a refusal", err)
+	}
+	// The session retransmits the child across the healed link.
+	db.Faults().Heal()
+	h.Wait()
+	if err := db.SaveSnapshot(path); err != nil {
+		t.Fatalf("snapshot of the settled database refused: %v", err)
 	}
 }
 

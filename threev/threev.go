@@ -128,18 +128,17 @@ type Config struct {
 	// (idempotent) notices to silent nodes on this period; 0 means
 	// never.
 	ResendInterval time.Duration
-	// Batching turns on end-to-end hot-path batching: the network
-	// coalesces each link's frames into batched envelopes per 50µs
-	// flush window, the reliable session (when enabled) flushes data in
-	// batches with piggybacked, delayed acks, node workers admit work
-	// in chunks of 64 that share one WAL barrier (except under
-	// NonCommuting, where chunked admission is disabled), and the
-	// coordinator's quiescence sweeps use the batched counter protocol.
-	// Advancement traffic is exempt from the window: its notices,
-	// counter sweeps and replies flush their link at once, so a version
-	// switch takes no longer with Batching on. So is anything a node
-	// sends to itself, and with the session on, its frames are windowed
-	// once, in the session, not again in the network.
+	// Batching turns on end-to-end hot-path batching: each link's
+	// messages leave as batched envelopes per 50µs flush window — in the
+	// network, or with Reliable in the reliable session alone, whose
+	// flushes carry its delayed acks (ReliableConfig.FlushInterval, when
+	// set, replaces the 50µs there) — node workers admit work in chunks
+	// of 64 that share one WAL barrier (except under NonCommuting, where
+	// chunked admission is disabled), and the coordinator's quiescence
+	// sweeps use the batched counter protocol. Advancement traffic is
+	// exempt from the window: its notices, counter sweeps and replies
+	// flush their link at once, so a version switch takes no longer with
+	// Batching on. So is anything a node sends to itself.
 	Batching bool
 }
 
@@ -167,13 +166,9 @@ func Open(cfg Config) (*DB, error) {
 		Seed:        cfg.Seed,
 		Faults:      cfg.Faults,
 	}
-	rc := cfg.ReliableConfig
 	chunk := 0
 	if cfg.Batching {
 		nc.BatchWindow = batchWindow
-		if cfg.Reliable && rc.FlushInterval <= 0 {
-			rc.FlushInterval = batchWindow
-		}
 		if !cfg.NonCommuting {
 			chunk = execChunk
 		}
@@ -183,7 +178,7 @@ func Open(cfg Config) (*DB, error) {
 		NCMode:          cfg.NonCommuting,
 		LockWait:        cfg.LockWait,
 		Reliable:        cfg.Reliable,
-		ReliableConfig:  rc,
+		ReliableConfig:  cfg.ReliableConfig,
 		AckTimeout:      cfg.AckTimeout,
 		ResendInterval:  cfg.ResendInterval,
 		ExecChunk:       chunk,
