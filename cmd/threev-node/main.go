@@ -38,16 +38,11 @@
 // that applies updates in a partition sends them to the partition's
 // other owners as counted replica children over the reliable session
 // (journaled through -data-dir when set), so a completed /advance proves
-// every owner holds the versions it closed, and a per-partition
-// replication lease
-// promotes the next live owner when the primary dies, so the partition
-// stays readable. -repl-lease-interval / -repl-lease-timeout tune the
-// replication lease independently of the coordinator's (the interval
-// defaults to -lease-interval).
-// /workload and /read route through the current (possibly promoted)
-// primary, and /health reports each partition's role and lease. A
-// lagging backup shows up in /metrics' threev_counter_lag like any
-// unfinished subtransaction.
+// every owner holds the versions it closed. The groups have no leader:
+// every process owns every partition, so /workload and /read run at the
+// local node, and a dead process leaves the others serving. A lagging
+// owner shows up in /metrics' threev_counter_lag like any unfinished
+// subtransaction.
 //
 // -trace-sample enables causal tracing: 1 in N transactions carries a
 // trace context across the wire and assembles a full span tree (submit →
@@ -63,15 +58,15 @@
 //	/state               JSON: versions (legacy vr/vu plus a per-partition
 //	                     array with version/term/lag and the placement map),
 //	                     coordinator role + term, transport stats
-//	/health              JSON: per-partition replica-group status (role,
-//	                     current primary + term, last-heartbeat age), WAL
-//	                     counters and session link frontiers
+//	/health              JSON: whether replication is on, WAL counters and
+//	                     session link frontiers
 //	/workload?txns=N     run N commuting update trees rooted here (+1 on
 //	                     every process's account, children fan out; with
 //	                     -partitions P > 1, one single-account update per
-//	                     txn routed to its partition's primary owner)
+//	                     txn, run here with -replicate, else routed to its
+//	                     partition's placement primary)
 //	/read                read this process's account at the read version
-//	                     (partitioned: the accounts this process owns)
+//	                     (partitioned: the accounts this process serves)
 //	/advance[?part=N]    run one advancement cycle — all partitions, or
 //	                     just partition N (active coordinator only)
 //	/killconns           sever every TCP connection (recovery testing)
@@ -144,7 +139,7 @@ type nodeServer struct {
 }
 
 // partitionState is one partition's entry in the /state response:
-// core.PartitionState (part, primary, vr, vu, max_lag) plus the highest
+// core.PartitionState (part, vr, vu, max_lag) plus the highest
 // fencing term this process has observed for that partition.
 type partitionState struct {
 	core.PartitionState
@@ -245,27 +240,19 @@ type healthLink struct {
 	NextExpected uint64 `json:"next_expected,omitempty"`
 }
 
-// healthReport is the /health response: per-partition replica-group
-// status (role, primary, term, lease age), WAL counters, and session
-// link frontiers — everything an operator or a failover gate needs to
-// decide whether this process is a healthy primary, a backup, or
-// neither.
+// healthReport is the /health response: whether replication is on,
+// WAL counters, and session link frontiers.
 type healthReport struct {
-	ID         int                      `json:"id"`
-	Replicate  bool                     `json:"replicate"`
-	Partitions []core.ReplicaPartHealth `json:"partitions,omitempty"`
-	Durable    bool                     `json:"durable"`
-	WALRecords uint64                   `json:"wal_records,omitempty"`
-	WALFsyncs  int64                    `json:"wal_fsyncs,omitempty"`
-	Sessions   []healthLink             `json:"sessions,omitempty"`
+	ID         int          `json:"id"`
+	Replicate  bool         `json:"replicate"`
+	Durable    bool         `json:"durable"`
+	WALRecords uint64       `json:"wal_records,omitempty"`
+	WALFsyncs  int64        `json:"wal_fsyncs,omitempty"`
+	Sessions   []healthLink `json:"sessions,omitempty"`
 }
 
 func (s *nodeServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	rep := healthReport{
-		ID:         s.id,
-		Replicate:  s.cluster.Replicating(),
-		Partitions: s.cluster.ReplicaHealth(),
-	}
+	rep := healthReport{ID: s.id, Replicate: s.cluster.Replicating()}
 	if s.db != nil {
 		ws := s.db.Stats()
 		rep.Durable = true
@@ -304,23 +291,21 @@ func (s *nodeServer) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		txns = n
 	}
 	specs := make([]*model.TxnSpec, txns)
-	pm := s.cluster.PlacementMap()
 	for i := range specs {
 		var root *model.SubtxnSpec
 		if s.cluster.Partitions() > 1 {
 			// Partitioned: transactions may not cross partitions, and the
 			// account keys hash to arbitrary ones — so each transaction
 			// updates one account, round-robin across processes, addressed
-			// to the primary owner of that key's partition (owner routing
+			// to the node serving that key's partition (owner routing
 			// rather than a broadcast tree). Submit requires the root to
-			// be hosted locally, so when the owner is a remote node the
-			// update rides a single child subtxn under a keyless local
-			// root — one wire hop to the owner, nothing sent anywhere
-			// else.
+			// be hosted locally, so when that is a remote node the update
+			// rides a single child subtxn under a keyless local root — one
+			// wire hop to the owner, nothing sent anywhere else.
 			key := accountKey(i % s.nodes)
 			op := model.KeyOp{Key: key, Op: model.AddOp{Field: "bal", Delta: 1}}
 			root = &model.SubtxnSpec{Node: model.NodeID(s.id)}
-			if owner := s.cluster.CurrentPrimary(pm.Of(key)); owner == model.NodeID(s.id) {
+			if owner := s.ownerFor(key); owner == model.NodeID(s.id) {
 				root.Updates = []model.KeyOp{op}
 			} else {
 				root.Children = []*model.SubtxnSpec{{Node: owner, Updates: []model.KeyOp{op}}}
@@ -400,19 +385,16 @@ func (s *nodeServer) handleRead(w http.ResponseWriter, _ *http.Request) {
 		return reads[0].Record.Field("bal"), reads[0].VersionRead, nil
 	}
 	if s.cluster.Partitions() > 1 {
-		// Partitioned: the workload routes every update to the primary
-		// owner of its key's partition, so account records materialize
-		// only at their owners. Each process reports the accounts whose
-		// partition it is primary for; a process owning no partition
-		// returns an empty map. Reads stay one-key-per-transaction
-		// because two owned accounts may live in different partitions
-		// and transactions cannot cross them.
-		pm := s.cluster.PlacementMap()
+		// Partitioned: each process reports the accounts it serves
+		// (ownerFor) — every account with -replicate, else those whose
+		// partition it is placement primary for, possibly none. Reads
+		// stay one-key-per-transaction because two accounts may live in
+		// different partitions and transactions cannot cross them.
 		owned := map[string]any{}
 		var ver model.Version
 		for j := 0; j < s.nodes; j++ {
 			key := accountKey(j)
-			if s.cluster.CurrentPrimary(pm.Of(key)) != model.NodeID(s.id) {
+			if s.ownerFor(key) != model.NodeID(s.id) {
 				continue
 			}
 			bal, v, err := readLocal(key)
@@ -438,6 +420,18 @@ func (s *nodeServer) handleRead(w http.ResponseWriter, _ *http.Request) {
 		"bal":     bal,
 		"version": ver,
 	})
+}
+
+// ownerFor returns the node that serves key in a partitioned cluster.
+// With -replicate that is this process's own node: partition.NewMap puts
+// every node in every owner group, and any owner serves. Without it the
+// records live only at the partition's placement primary.
+func (s *nodeServer) ownerFor(key string) model.NodeID {
+	if s.cluster.Replicating() {
+		return model.NodeID(s.id)
+	}
+	pm := s.cluster.PlacementMap()
+	return pm.Primary(pm.Of(key))
 }
 
 func (s *nodeServer) handleAdvance(w http.ResponseWriter, r *http.Request) {
@@ -496,9 +490,7 @@ func main() {
 	ckptInterval := flag.Duration("checkpoint-interval", 2*time.Second, "background checkpoint period with -data-dir")
 	batch := flag.Int("batch", 0, "enable the batched hot path (batched wire frames, chunked admission, batched counter sweeps) and group /workload submissions N at a time (0 = off)")
 	partitions := flag.Int("partitions", 1, "split the keyspace into P partitions, each with its own independently-advancing version pair (same value on every process)")
-	replicate := flag.Bool("replicate", false, "enable per-partition replica groups: applied updates reach every owner of their partition as counted replica subtransactions, and a replication lease promotes the next owner if the primary dies")
-	replLeaseInterval := flag.Duration("repl-lease-interval", 0, "replication-lease heartbeat period with -replicate (0 = -lease-interval)")
-	replLeaseTimeout := flag.Duration("repl-lease-timeout", 0, "backup promotion threshold on replication-heartbeat silence with -replicate (0 = -repl-lease-interval x 4)")
+	replicate := flag.Bool("replicate", false, "enable per-partition replica groups: applied updates reach every owner of their partition as counted replica subtransactions, and any owner serves")
 	traceSample := flag.Int("trace-sample", 64, "head-sample 1 in N transactions for causal tracing (1 = every txn, 0 = tracing off)")
 	traceSlow := flag.Duration("trace-slow", 0, "also trace and log any transaction slower than this, sampled or not (0 = off)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
@@ -510,7 +502,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if err := run(*id, *nodes, *coordRole, *leaseInterval, *leaseTimeout, *listen, *peersFlag, *metricsAddr, *autoAdvance, *ackTimeout, *dataDir, *fsyncFlag, *ckptInterval, *batch, *partitions, *replicate, *replLeaseInterval, *replLeaseTimeout, *traceSample, *traceSlow, logger); err != nil {
+	if err := run(*id, *nodes, *coordRole, *leaseInterval, *leaseTimeout, *listen, *peersFlag, *metricsAddr, *autoAdvance, *ackTimeout, *dataDir, *fsyncFlag, *ckptInterval, *batch, *partitions, *replicate, *traceSample, *traceSlow, logger); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
@@ -550,7 +542,7 @@ func slowTxnAttrs(sp obs.Span) []any {
 	return attrs
 }
 
-func run(id, nodes int, coordRole string, leaseInterval, leaseTimeout time.Duration, listen, peersFlag, metricsAddr string, autoAdvance, ackTimeout time.Duration, dataDir, fsyncFlag string, ckptInterval time.Duration, batch, partitions int, replicate bool, replLeaseInterval, replLeaseTimeout time.Duration, traceSample int, traceSlow time.Duration, logger *slog.Logger) error {
+func run(id, nodes int, coordRole string, leaseInterval, leaseTimeout time.Duration, listen, peersFlag, metricsAddr string, autoAdvance, ackTimeout time.Duration, dataDir, fsyncFlag string, ckptInterval time.Duration, batch, partitions int, replicate bool, traceSample int, traceSlow time.Duration, logger *slog.Logger) error {
 	if id < 0 || id >= nodes {
 		return fmt.Errorf("-id must be in [0,%d)", nodes)
 	}
@@ -632,13 +624,14 @@ func run(id, nodes int, coordRole string, leaseInterval, leaseTimeout time.Durat
 	cfg := core.Config{
 		Nodes:            nodes,
 		Partitions:       partitions,
+		Replicate:        replicate,
 		LocalNodes:       []int{id},
 		LocalCoordinator: startActive,
 		Failover:         true,
 		FailoverConfig: core.LeaseConfig{
 			LeaseInterval: leaseInterval,
 			LeaseTimeout:  leaseTimeout,
-			OnRoleChange: func(_ int, holder model.NodeID, term uint64) {
+			OnRoleChange: func(holder model.NodeID, term uint64) {
 				if holder == model.NodeID(id) {
 					logger.Warn("coordinator takeover", "id", id, "term", term)
 				} else {
@@ -663,23 +656,6 @@ func run(id, nodes int, coordRole string, leaseInterval, leaseTimeout time.Durat
 		cfg.ExecChunk = 64
 		cfg.BatchedCounters = true
 		cfg.ReliableConfig.FlushInterval = 100 * time.Microsecond
-	}
-	if replicate {
-		if replLeaseInterval <= 0 {
-			replLeaseInterval = leaseInterval
-		}
-		cfg.Replicate = true
-		cfg.ReplicaConfig = core.LeaseConfig{
-			LeaseInterval: replLeaseInterval,
-			LeaseTimeout:  replLeaseTimeout,
-			OnRoleChange: func(part int, primary model.NodeID, term uint64) {
-				if primary == model.NodeID(id) {
-					logger.Warn("replica takeover", "part", part, "id", id, "term", term)
-				} else {
-					logger.Warn("replica primary changed", "part", part, "primary", primary, "term", term)
-				}
-			},
-		}
 	}
 	if db != nil {
 		cfg.Journal = db
@@ -732,27 +708,14 @@ func run(id, nodes int, coordRole string, leaseInterval, leaseTimeout time.Durat
 		db.SetObs(cluster.Obs())
 	}
 	if restore == nil {
-		rec := model.NewRecord()
-		rec.Fields["bal"] = 0
-		cluster.Preload(model.NodeID(id), accountKey(id), rec)
-		if replicate {
-			// Replicated: every account key must exist at every owner of
-			// its partition, so a promoted backup serves version-0 reads
-			// even before the first replicated update materializes it.
-			pm := cluster.PlacementMap()
-			for j := 0; j < nodes; j++ {
-				key := accountKey(j)
-				if j == id {
-					continue
-				}
-				for _, o := range pm.OwnerSet(pm.Of(key)) {
-					if o == model.NodeID(id) {
-						r := model.NewRecord()
-						r.Fields["bal"] = 0
-						cluster.Preload(model.NodeID(id), key, r)
-						break
-					}
-				}
+		for j := 0; j < nodes; j++ {
+			// Replicated: this node owns every partition (ownerFor), so it
+			// holds every account and serves version-0 reads of it even
+			// before the first replicated update materializes it.
+			if j == id || replicate {
+				rec := model.NewRecord()
+				rec.Fields["bal"] = 0
+				cluster.Preload(model.NodeID(id), accountKey(j), rec)
 			}
 		}
 		if db != nil {

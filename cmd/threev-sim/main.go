@@ -296,9 +296,9 @@ func main() {
 		structuralOK = rep.OK()
 
 		if cluster.Partitions() > 1 {
-			pt := &harness.Table{Title: "partitions", Header: []string{"part", "primary", "vr", "vu", "max lag"}}
+			pt := &harness.Table{Title: "partitions", Header: []string{"part", "vr", "vu", "max lag"}}
 			for _, st := range cluster.PartitionStates() {
-				pt.Add(fmt.Sprint(st.Part), fmt.Sprint(st.Primary), fmt.Sprint(st.VR), fmt.Sprint(st.VU), fmt.Sprint(st.MaxLag))
+				pt.Add(fmt.Sprint(st.Part), fmt.Sprint(st.VR), fmt.Sprint(st.VU), fmt.Sprint(st.MaxLag))
 			}
 			fmt.Println(pt.String())
 			prep := verify.CheckPartitions(cluster)

@@ -108,20 +108,16 @@ type Config struct {
 	// FailoverConfig tunes the coordinator lease when Failover is set;
 	// the zero value selects defaults.
 	FailoverConfig LeaseConfig
-	// Replicate makes partition owner groups real (see replication.go):
-	// every subtransaction that applies updates in a partition sends the
-	// applied effect set to the partition's other owners as counted
-	// replica children, so the advancement that closes a version also
-	// proves every owner holds its updates; a per-partition replication
-	// lease promotes the next live owner when the primary dies, keeping
-	// the partition readable. Requires Reliable (a replica child lost on
-	// the network would never be counted complete) and is meaningful
-	// only when owner groups have at least two members (Nodes >= 2).
+	// Replicate makes partition owner groups real (see
+	// Node.spawnReplicas): every subtransaction that applies updates in a
+	// partition sends the applied effect set to the partition's other
+	// owners as counted replica children, so the advancement that closes
+	// a version also proves every owner holds its updates, and any owner
+	// serves reads and takes updates. Requires Reliable (a replica child
+	// lost on the network would never be counted complete) and is
+	// meaningful only when owner groups have at least two members
+	// (Nodes >= 2).
 	Replicate bool
-	// ReplicaConfig tunes the replication lease when Replicate is set;
-	// the zero value selects defaults. It is a separate lease from the
-	// coordinator's, with its own term space.
-	ReplicaConfig LeaseConfig
 	// ExecChunk batches the receive side of the hot path: each node
 	// worker wakeup drains up to ExecChunk queued subtransactions and
 	// executes them as one chunk — one checkpoint hold, and (with a
@@ -180,11 +176,6 @@ type Cluster struct {
 	// Config.Failover is set; they replace the single pinned
 	// coordinator above.
 	fo []*FailoverManager
-
-	// repl holds one replicator per locally hosted node when
-	// Config.Replicate is set (aligned with nodes; nil entries for
-	// remote nodes).
-	repl []*replicator
 
 	hookMu    sync.Mutex
 	phaseHook func(part, phase int)
@@ -310,6 +301,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		nd.inline = scripted
 		nd.chunk = cfg.ExecChunk
 		nd.journal = cfg.Journal
+		nd.replicate = cfg.Replicate
 		if r := cfg.Restore; r != nil {
 			if r.Store != nil {
 				nd.store = r.Store
@@ -319,22 +311,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				nd.cnts[p] = r.PartCounters[p]
 			}
 			nd.seedTerm(r.CoordTerm)
-			nd.seedReplTerms(r.ReplTerms)
 		}
 		c.nodes[i] = nd
 		c.net.Register(nd.id, nd.handleMessage)
-	}
-	if cfg.Replicate {
-		c.repl = make([]*replicator, cfg.Nodes)
-		for i, nd := range c.nodes {
-			if nd == nil {
-				continue
-			}
-			r := newReplicator(c, nd)
-			nd.replicate = true
-			nd.onReplBeat = r.noteBeat
-			c.repl[i] = r
-		}
 	}
 	if cfg.Failover {
 		for i := 0; i < cfg.Nodes; i++ {
@@ -396,11 +375,6 @@ func (c *Cluster) Start() {
 			m.lease.start(m.tick)
 		}
 	}
-	for _, r := range c.repl {
-		if r != nil {
-			r.start()
-		}
-	}
 }
 
 // Close shuts the cluster down. Callers should quiesce (wait for
@@ -410,11 +384,6 @@ func (c *Cluster) Start() {
 func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
-	}
-	for _, r := range c.repl {
-		if r != nil {
-			r.lease.stop()
-		}
 	}
 	if c.fo != nil {
 		// Stop every manager first: this unwinds any in-flight takeover
@@ -452,42 +421,10 @@ func (c *Cluster) Partitions() int { return c.nparts }
 func (c *Cluster) PlacementMap() *partition.Map { return c.pmap }
 
 // Replicating reports whether per-partition replica groups are active.
-func (c *Cluster) Replicating() bool { return c.repl != nil }
-
-// localReplicator returns the first locally hosted replicator, or nil.
-func (c *Cluster) localReplicator() *replicator {
-	for _, r := range c.repl {
-		if r != nil {
-			return r
-		}
-	}
-	return nil
-}
-
-// CurrentPrimary returns this process's view of a partition's current
-// primary — the placement primary until a replication-lease takeover
-// promotes a backup, after which routing (reads, /state) follows the
-// promoted owner. Without Replicate it is always the placement primary.
-func (c *Cluster) CurrentPrimary(part int) model.NodeID {
-	if r := c.localReplicator(); r != nil {
-		return r.currentPrimary(part)
-	}
-	return c.pmap.Primary(part)
-}
-
-// ReplicaHealth reports every partition's replica-group status as seen
-// by this process's first local node (role, primary, term, lease age) —
-// the payload behind threev-node's /health. Nil unless
-// Config.Replicate.
-func (c *Cluster) ReplicaHealth() []ReplicaPartHealth {
-	if r := c.localReplicator(); r != nil {
-		return r.health()
-	}
-	return nil
-}
+func (c *Cluster) Replicating() bool { return c.cfg.Replicate }
 
 // SetReplHooks arms callbacks fired after a subtransaction's replica
-// fan-out is sent and after a replica child finishes at a backup —
+// fan-out is sent and after a replica child finishes at its owner —
 // the seams the crash harness uses to kill processes at deterministic
 // replication points. Pass nil, nil to disarm. Affects all local nodes.
 func (c *Cluster) SetReplHooks(send, apply func(part int)) {
@@ -502,10 +439,9 @@ func (c *Cluster) SetReplHooks(send, apply func(part int)) {
 // PartitionState is one partition's operator-visible status, as served
 // by threev-node's /state and checked by the verifiers.
 type PartitionState struct {
-	Part    int           `json:"part"`
-	Primary model.NodeID  `json:"primary"`
-	VR      model.Version `json:"vr"`
-	VU      model.Version `json:"vu"`
+	Part int           `json:"part"`
+	VR   model.Version `json:"vr"`
+	VU   model.Version `json:"vu"`
 	// MaxLag is the largest outstanding R−C counter-lag entry for the
 	// partition, or -1 in distributed-mode processes, where the
 	// cluster-wide matrix is not computable locally.
@@ -526,7 +462,7 @@ func (c *Cluster) PartitionStates() []PartitionState {
 	}
 	out := make([]PartitionState, c.nparts)
 	for p := 0; p < c.nparts; p++ {
-		st := PartitionState{Part: p, Primary: c.CurrentPrimary(p)}
+		st := PartitionState{Part: p}
 		if coord != nil {
 			st.VR, st.VU = coord.VersionsPart(p)
 		} else if ref != nil {

@@ -509,7 +509,8 @@ func TestLocalHopsIgnoreBatchWindow(t *testing.T) {
 
 // TestUrgentPayloads pins which protocol payloads skip the batch window:
 // the twelve messages of the advancement rounds, and nothing that
-// carries transactions, their commit protocol, leases or spans.
+// carries transactions, their commit protocol, the coordinator lease or
+// spans.
 func TestUrgentPayloads(t *testing.T) {
 	urgent := []any{
 		StartAdvancementMsg{}, AckAdvancementMsg{}, ReadVersionMsg{}, AckReadVersionMsg{},
@@ -518,7 +519,7 @@ func TestUrgentPayloads(t *testing.T) {
 	}
 	ordinary := []any{
 		SubtxnMsg{}, SubtxnMsg{Replica: true}, NCVoteMsg{}, NCDecisionMsg{}, UnlockMsg{},
-		CoordStateMsg{}, StaleTermMsg{}, ReplBeatMsg{}, SpanReportMsg{},
+		CoordStateMsg{}, StaleTermMsg{}, SpanReportMsg{},
 	}
 	for _, p := range urgent {
 		if !transport.IsUrgent(p) {

@@ -13,9 +13,9 @@ import (
 // failure. recovery.go showed that a successor can finish any
 // interrupted cycle from the nodes' observable state, because every
 // phase is an idempotent max-merge; what remained was detection and
-// election. The coordinator role is one slot of the lease primitive
-// (lease.go), with candidate position = node id, and this file keeps
-// only the coordinator's lifecycle around it:
+// election. The paper (Section 4.3) assumes "a distributed mutual
+// exclusion mechanism" keeps one advancement running; here that is a
+// heartbeat lease with candidate position = node id:
 //
 //   - every locally hosted node gets a FailoverManager owning
 //     coordinator endpoint Nodes+id (node 0's manager owns the legacy
@@ -28,6 +28,10 @@ import (
 //     ResendInterval path;
 //   - the nodes' stale-term fencing (Node.observeTerm) deposes
 //     whichever coordinator loses a race of takeovers.
+//
+// Safety never depends on the lease: the coordinator's phases are
+// idempotent max-merges (DESIGN.md §5a item 8). The lease adds
+// determinism and liveness.
 
 // FailoverManager supervises one locally hosted node's claim on the
 // coordinator role. At most one manager cluster-wide is active (holds a
@@ -37,7 +41,7 @@ type FailoverManager struct {
 	c     *Cluster
 	node  *Node
 	ep    model.NodeID // this manager's coordinator endpoint: Nodes + node id
-	lease *lease       // one slot: the coordinator role
+	lease *lease
 
 	mu     sync.Mutex
 	active bool
@@ -51,7 +55,7 @@ func newFailoverManager(c *Cluster, nd *Node) *FailoverManager {
 		c:     c,
 		node:  nd,
 		ep:    model.NodeID(c.cfg.Nodes + int(nd.id)),
-		lease: newLease(c.cfg.FailoverConfig, nd.id, c.cfg.Nodes, 1),
+		lease: newLease(c.cfg.FailoverConfig, nd.id, c.cfg.Nodes),
 	}
 }
 
@@ -74,7 +78,7 @@ func (m *FailoverManager) handleEndpoint(msg transport.Message) {
 // its coordinator.
 func (m *FailoverManager) noteBeat(p CoordStateMsg) {
 	from := model.NodeID(int(p.Coord) - m.c.cfg.Nodes)
-	if !m.lease.observe(0, from, p.Term, time.Now()) {
+	if !m.lease.observe(from, p.Term, time.Now()) {
 		return
 	}
 	m.mu.Lock()
@@ -95,7 +99,7 @@ func (m *FailoverManager) tick(now time.Time) {
 		m.demote(co)
 	case active:
 		m.heartbeat(co)
-	case m.lease.due(0, int(m.node.id), now):
+	case m.lease.due(int(m.node.id), now):
 		m.takeover()
 	}
 }
@@ -138,7 +142,7 @@ func (m *FailoverManager) takeover() *Coordinator {
 	m.c.reg.RecordEvent(obs.Event{Kind: obs.EvTakeover, Node: int(m.node.id),
 		Detail: "coordinator takeover, term " + itoa(co.term)})
 	if f := m.c.cfg.FailoverConfig.OnRoleChange; f != nil {
-		f(0, m.node.id, co.term)
+		f(m.node.id, co.term)
 	}
 	m.heartbeat(co) // announce immediately; renews standbys' leases
 
@@ -163,10 +167,10 @@ func (m *FailoverManager) demote(co *Coordinator) {
 	}
 	m.active = false
 	m.mu.Unlock()
-	s := m.lease.release(0, time.Now()) // full lease before trying to re-elect
+	holder, term := m.lease.release(time.Now()) // full lease before trying to re-elect
 	m.c.reg.SetGauge(obs.GaugeCoordActive, 0)
 	if f := m.c.cfg.FailoverConfig.OnRoleChange; f != nil {
-		f(0, s.holder, s.term)
+		f(holder, term)
 	}
 }
 
@@ -185,7 +189,8 @@ func (m *FailoverManager) kill() (term uint64, wasActive bool) {
 	if co != nil {
 		co.crash()
 	}
-	return m.lease.get(0).term, wasActive
+	_, term = m.lease.get()
+	return term, wasActive
 }
 
 // stop shuts the manager down (Cluster.Close): the lease loop exits and
@@ -210,7 +215,8 @@ func (m *FailoverManager) snapshot() (active bool, term uint64) {
 	m.mu.Lock()
 	active = m.active
 	m.mu.Unlock()
-	return active, m.lease.get(0).term
+	_, term = m.lease.get()
+	return active, term
 }
 
 // promoteInitial makes this manager the cluster's starting coordinator
@@ -232,13 +238,183 @@ func (m *FailoverManager) promoteInitial() {
 // returns nil once the manager is stopped. Callers hold m.mu and
 // journal the term before announcing it.
 func (m *FailoverManager) claimLocked() *Coordinator {
-	term := m.lease.claim(0, m.node.coordTerm.Load(), time.Now())
+	term := m.lease.claim(m.node.coordTerm.Load(), time.Now())
 	if term == 0 {
 		return nil
 	}
 	m.coord = m.c.coordinatorAt(m.ep, term, m.c.getPhaseHook())
 	m.active = true
 	return m.coord
+}
+
+// LeaseConfig tunes the coordinator lease (Config.FailoverConfig).
+// Every rule takes the current time as a parameter:
+//
+//   - the holder renews the lease by heartbeating every LeaseInterval;
+//   - a candidate at position pos is due once the lease has been silent
+//     for LeaseTimeout + pos×LeaseInterval, so the lowest live position
+//     claims first and its announcement renews everyone else's lease
+//     before their own threshold passes;
+//   - a claim mints nextTerm above every term seen and above the
+//     caller's journaled floor — terms are partitioned by proposer, so
+//     two claims never mint the same term;
+//   - a beat renews the lease when it carries a higher term (adopting
+//     its sender as holder) or comes from the current holder. Because
+//     terms are partitioned by proposer, an equal term from any other
+//     sender cannot occur.
+type LeaseConfig struct {
+	// LeaseInterval is the holder's heartbeat period; 0 means 25ms.
+	LeaseInterval time.Duration
+	// LeaseTimeout is how long a candidate tolerates heartbeat silence
+	// before claiming (plus a stagger of one LeaseInterval per candidate
+	// position, so earlier positions win ties); 0 means 4×LeaseInterval.
+	LeaseTimeout time.Duration
+	// OnRoleChange, when set, observes this process's view of the
+	// holder changing: on a claim holder is the local node; on stepping
+	// down it is the node whose beat won, or -1 when the successor is
+	// not yet heard. Called outside locks; used for logging.
+	OnRoleChange func(holder model.NodeID, term uint64)
+}
+
+func (lc LeaseConfig) withDefaults() LeaseConfig {
+	if lc.LeaseInterval <= 0 {
+		lc.LeaseInterval = 25 * time.Millisecond
+	}
+	if lc.LeaseTimeout <= 0 {
+		lc.LeaseTimeout = 4 * lc.LeaseInterval
+	}
+	return lc
+}
+
+// nextTerm returns the smallest term node id may propose that is
+// strictly greater than maxSeen. Terms are partitioned by proposer —
+// term ≡ id+1 (mod n) — so concurrent claims by different nodes always
+// mint distinct, totally ordered terms.
+func nextTerm(maxSeen uint64, id model.NodeID, n int) uint64 {
+	k := maxSeen / uint64(n)
+	t := k*uint64(n) + uint64(id) + 1
+	if t <= maxSeen {
+		t += uint64(n)
+	}
+	return t
+}
+
+// noHolder marks a lease whose holder is unknown (before any beat, or
+// after this node stepped down).
+const noHolder model.NodeID = -1
+
+// lease is this node's view of the coordinator lease, plus the ticker
+// that drives the heartbeats and elections.
+type lease struct {
+	cfg  LeaseConfig
+	self model.NodeID
+	n    int // number of proposers (database nodes)
+
+	mu      sync.Mutex
+	holder  model.NodeID
+	term    uint64    // highest term minted or adopted
+	last    time.Time // last renewing beat (or own claim, or release)
+	stopped bool
+	stopCh  chan struct{}
+	wg      sync.WaitGroup
+}
+
+func newLease(cfg LeaseConfig, self model.NodeID, n int) *lease {
+	return &lease{cfg: cfg.withDefaults(), self: self, n: n, holder: noHolder, stopCh: make(chan struct{})}
+}
+
+// due reports whether this node, a candidate at position pos, should
+// claim the lease at now.
+func (l *lease) due(pos int, now time.Time) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	wait := l.cfg.LeaseTimeout + time.Duration(pos)*l.cfg.LeaseInterval
+	return l.holder != l.self && now.Sub(l.last) > wait
+}
+
+// claim makes this node the holder under a fresh term above every term
+// seen and above floor (the caller's journaled high-water mark, so a
+// restarted node never re-mints a fenced term). It returns 0 once the
+// lease is stopped. The caller journals the term before announcing it.
+func (l *lease) claim(floor uint64, now time.Time) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stopped {
+		return 0
+	}
+	l.term = nextTerm(max(l.term, floor), l.self, l.n)
+	l.holder, l.last = l.self, now
+	return l.term
+}
+
+// observe folds a beat from node from at term into the lease: a lower
+// term is ignored; a higher term, or the current holder's beat, renews
+// the lease and makes from the holder. It reports whether this node
+// held the lease and has just lost it.
+func (l *lease) observe(from model.NodeID, term uint64, now time.Time) (deposed bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if term < l.term || (term == l.term && from != l.holder) {
+		return false
+	}
+	deposed = l.holder == l.self && from != l.self
+	l.holder, l.term, l.last = from, term, now
+	return deposed
+}
+
+// release steps this node down (if it still holds the lease) and
+// restarts the clock, so it is not due again for a full lease. It
+// returns the holder and term afterwards.
+func (l *lease) release(now time.Time) (model.NodeID, uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.holder == l.self {
+		l.holder = noHolder
+	}
+	l.last = now
+	return l.holder, l.term
+}
+
+// get returns this node's view of the holder and term.
+func (l *lease) get() (model.NodeID, uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.holder, l.term
+}
+
+// start opens the start-up grace period and launches the ticker, which
+// calls tick every LeaseInterval until stop.
+func (l *lease) start(tick func(now time.Time)) {
+	l.mu.Lock()
+	l.last = time.Now()
+	l.wg.Add(1)
+	l.mu.Unlock()
+	go func() {
+		defer l.wg.Done()
+		t := time.NewTicker(l.cfg.LeaseInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-l.stopCh:
+				return
+			case <-t.C:
+				tick(time.Now())
+			}
+		}
+	}()
+}
+
+// stop ends the ticker and refuses further claims; idempotent.
+func (l *lease) stop() {
+	l.mu.Lock()
+	if l.stopped {
+		l.mu.Unlock()
+		return
+	}
+	l.stopped = true
+	close(l.stopCh)
+	l.mu.Unlock()
+	l.wg.Wait()
 }
 
 // itoa is strconv.Itoa for uint64 without pulling fmt into the hot path.

@@ -70,7 +70,7 @@ type ExecRecord struct {
 }
 
 // Journal receives the node's durability callbacks. Exec,
-// VersionUpdate, VersionRead, GC, CoordTerm and ReplTerm are durable
+// VersionUpdate, VersionRead, GC and CoordTerm are durable
 // before they return. Enq is lazy: the reliable session's NoteRecv
 // barrier covers it before the frame that carried the command is
 // acknowledged. Replica children need no callbacks of their own: the
@@ -104,10 +104,6 @@ type Journal interface {
 	// term, term = max(term, t), so a restarted node cannot acknowledge
 	// a coordinator the cluster fenced off before the crash.
 	CoordTerm(t uint64)
-	// ReplTerm records partition part's replication lease term =
-	// max(term, t), so a restarted node never adopts a deposed primary
-	// as current.
-	ReplTerm(part int, t uint64)
 }
 
 // PendingSubtxn is a command that was journaled (Enq) but whose
@@ -134,7 +130,4 @@ type NodeRestore struct {
 	// Partitions (1 when unpartitioned).
 	PartVR, PartVU []model.Version
 	PartCounters   []*counters.Table
-	// ReplTerms carries the highest replication lease term observed per
-	// partition; nil when replication never ran.
-	ReplTerms []uint64
 }

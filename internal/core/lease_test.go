@@ -7,11 +7,10 @@ import (
 	"repro/internal/model"
 )
 
-// TestLeaseRules drives the lease primitive shared by coordinator
-// failover and replica-group promotion with explicit clock values, so
-// every rule is pinned without a sleep. Proposers n = 3, LeaseTimeout
-// T = 100ms, LeaseInterval I = 25ms; every case starts with one slot
-// whose holder is unknown, term 0, silent since time 0.
+// TestLeaseRules drives the coordinator lease with explicit clock
+// values, so every rule is pinned without a sleep. Proposers n = 3,
+// LeaseTimeout T = 100ms, LeaseInterval I = 25ms; every case starts
+// with a lease whose holder is unknown, term 0, silent since time 0.
 func TestLeaseRules(t *testing.T) {
 	const T, I = 100 * time.Millisecond, 25 * time.Millisecond
 	const none = noHolder
@@ -22,7 +21,7 @@ func TestLeaseRules(t *testing.T) {
 		term uint64
 		pos  int
 		want bool // beat: deposed; due: due
-		// The slot's holder and term after the step.
+		// The lease's holder and term after the step.
 		holder model.NodeID
 		sTerm  uint64
 	}
@@ -38,7 +37,6 @@ func TestLeaseRules(t *testing.T) {
 			{at: T + I + 1, op: "due", pos: 1, want: true, holder: none},
 			{at: T + 2*I, op: "due", pos: 2, want: false, holder: none},
 			{at: T + 2*I + 1, op: "due", pos: 2, want: true, holder: none},
-			{at: time.Hour, op: "due", pos: -1, want: false, holder: none},
 		}},
 		{"(b) a lower-term beat neither renews nor changes the holder", 0, []step{
 			{at: 10 * time.Millisecond, op: "beat", from: 1, term: 5, holder: 1, sTerm: 5},
@@ -79,28 +77,28 @@ func TestLeaseRules(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t0 := time.Unix(1000, 0)
-			l := newLease(LeaseConfig{LeaseInterval: I, LeaseTimeout: T}, tc.self, 3, 1)
-			l.slots[0].last = t0
+			l := newLease(LeaseConfig{LeaseInterval: I, LeaseTimeout: T}, tc.self, 3)
+			l.last = t0
 			for i, st := range tc.steps {
 				now := t0.Add(st.at)
 				switch st.op {
 				case "beat":
-					if got := l.observe(0, st.from, st.term, now); got != st.want {
+					if got := l.observe(st.from, st.term, now); got != st.want {
 						t.Fatalf("step %d: beat from %d at term %d: deposed = %v, want %v", i, st.from, st.term, got, st.want)
 					}
 				case "claim":
-					if got := l.claim(0, st.term, now); got != st.sTerm {
+					if got := l.claim(st.term, now); got != st.sTerm {
 						t.Fatalf("step %d: claim minted term %d, want %d", i, got, st.sTerm)
 					}
 				case "release":
-					l.release(0, now)
+					l.release(now)
 				case "due":
-					if got := l.due(0, st.pos, now); got != st.want {
+					if got := l.due(st.pos, now); got != st.want {
 						t.Fatalf("step %d: due(pos %d, +%v) = %v, want %v", i, st.pos, st.at, got, st.want)
 					}
 				}
-				if s := l.get(0); s.holder != st.holder || s.term != st.sTerm {
-					t.Fatalf("step %d (%s): slot (holder %d, term %d), want (%d, %d)", i, st.op, s.holder, s.term, st.holder, st.sTerm)
+				if holder, term := l.get(); holder != st.holder || term != st.sTerm {
+					t.Fatalf("step %d (%s): lease (holder %d, term %d), want (%d, %d)", i, st.op, holder, term, st.holder, st.sTerm)
 				}
 			}
 		})
@@ -112,9 +110,9 @@ func TestLeaseRules(t *testing.T) {
 		for _, floor := range []uint64{0, seen + 2} {
 			minted := map[uint64]model.NodeID{}
 			for id := model.NodeID(0); id < 3; id++ {
-				l := newLease(LeaseConfig{}, id, 3, 1)
-				l.slots[0].term = seen
-				term := l.claim(0, floor, time.Unix(0, 0))
+				l := newLease(LeaseConfig{}, id, 3)
+				l.term = seen
+				term := l.claim(floor, time.Unix(0, 0))
 				if term <= max(seen, floor) {
 					t.Fatalf("node %d minted %d after seen %d, floor %d", id, term, seen, floor)
 				}
@@ -127,9 +125,9 @@ func TestLeaseRules(t *testing.T) {
 	}
 
 	// A stopped lease refuses claims.
-	l := newLease(LeaseConfig{}, 0, 3, 1)
+	l := newLease(LeaseConfig{}, 0, 3)
 	l.stop()
-	if term := l.claim(0, 0, time.Unix(0, 0)); term != 0 {
+	if term := l.claim(0, time.Unix(0, 0)); term != 0 {
 		t.Fatalf("stopped lease minted term %d", term)
 	}
 }

@@ -260,8 +260,8 @@ type UnlockMsg struct {
 // LeaseInterval. Term is the sender's fencing term; Coord its endpoint
 // id; VR/VU the versions it has installed; Phase the advancement phase
 // in flight (0 = idle, 1–4 mid-sweep). Nodes relay it to their
-// co-located FailoverManager, whose coordinator lease slot it renews
-// (lease.go); a missing one eventually triggers a standby takeover.
+// co-located FailoverManager, whose coordinator lease it renews
+// (failover.go); a missing one eventually triggers a standby takeover.
 type CoordStateMsg struct {
 	Term  uint64
 	Coord model.NodeID
@@ -276,15 +276,6 @@ type CoordStateMsg struct {
 type StaleTermMsg struct {
 	Term uint64
 	Node model.NodeID
-}
-
-// ReplBeatMsg is a partition primary's replication lease heartbeat to
-// the partition's other owners. Term is the sender's replication lease
-// term for the partition (a register separate from the coordinator
-// fencing terms). The data itself travels as Replica subtransactions.
-type ReplBeatMsg struct {
-	Part int
-	Term uint64
 }
 
 // SpanReportMsg ships completed trace spans from an executing node home

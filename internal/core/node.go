@@ -212,16 +212,10 @@ type Node struct {
 	onCoordState func(CoordStateMsg)
 
 	// Replica-group state (Config.Replicate). replicate gates the
-	// replica fan-out; replTerms are the per-partition replication lease
-	// registers (a separate term space from coordTerms — fencing a
-	// replication lease must never fence a valid coordinator).
-	// onReplBeat relays accepted lease heartbeats to the co-located
-	// replicator; replSendHook/replApplyHook are the chaos harness's
-	// crashpoint seams. All are set before the node's handler is
-	// registered; immutable afterwards.
+	// replica fan-out; replSendHook/replApplyHook are the chaos
+	// harness's crashpoint seams. All are set before the node's handler
+	// is registered; immutable afterwards.
 	replicate     bool
-	replTerms     []atomic.Uint64
-	onReplBeat    func(part int, from model.NodeID, term uint64)
 	replSendHook  func(part int)
 	replApplyHook func(part int)
 
@@ -306,7 +300,6 @@ func newNode(id model.NodeID, n int, pmap *partition.Map, coordID model.NodeID, 
 		ncCoord:    make(map[model.TxnID]*ncCoordState),
 		ncPart:     make(map[model.TxnID]*ncPartState),
 	}
-	nd.replTerms = make([]atomic.Uint64, nparts)
 	for i := range nd.pv {
 		// Initial state per partition: read version 0, update version 1.
 		nd.pv[i] = verPair{vu: 1, vr: 0}
@@ -520,14 +513,6 @@ func (nd *Node) handleMessage(m transport.Message) {
 		// Addressed to coordinator endpoints; one reaching a node is
 		// stray cross-talk. Fold the term in and drop it.
 		nd.observeTermAll(p.Term)
-	case ReplBeatMsg:
-		// A current-or-higher term renews the sender's primaryship in the
-		// co-located replicator's lease view.
-		if nd.partOK(p.Part) && nd.observeReplTerm(p.Part, p.Term) {
-			if f := nd.onReplBeat; f != nil {
-				f(p.Part, m.From, p.Term)
-			}
-		}
 	case NCVoteMsg:
 		nd.handleNCVote(p)
 	case NCDecisionMsg:
@@ -629,45 +614,6 @@ func (nd *Node) seedTerm(t uint64) {
 	nd.coordTerm.Store(t)
 	for i := range nd.coordTerms {
 		nd.coordTerms[i].Store(t)
-	}
-}
-
-// observeReplTerm folds a replication lease term into one partition's
-// register, returning false when t is stale. Terms live in their own
-// register space: a partition's replication lease and its coordinator
-// fencing term advance independently, so minting a replica term never
-// fences off a valid coordinator. A term that raises the register is
-// journaled (Journal.ReplTerm) before the caller acts on the message that
-// carried it, so a restarted node cannot re-adopt a deposed primary.
-func (nd *Node) observeReplTerm(part int, t uint64) bool {
-	if t == 0 {
-		return true
-	}
-	raised, ok := raiseTerm(&nd.replTerms[part], t)
-	if raised {
-		if nd.journal != nil {
-			nd.journal.ReplTerm(part, t)
-		}
-	}
-	return ok
-}
-
-// ReplTermPart returns the highest replication lease term this node has
-// observed for one partition (threev-node's /health reports it).
-func (nd *Node) ReplTermPart(part int) uint64 {
-	if part < 0 || part >= len(nd.replTerms) {
-		return 0
-	}
-	return nd.replTerms[part].Load()
-}
-
-// seedReplTerms installs recovered replication lease terms (restart
-// adoption; the journal already holds them).
-func (nd *Node) seedReplTerms(terms []uint64) {
-	for i := range nd.replTerms {
-		if i < len(terms) {
-			nd.replTerms[i].Store(terms[i])
-		}
 	}
 }
 
@@ -1209,11 +1155,20 @@ func (nd *Node) abortSubtree(txn model.TxnID, v model.Version, part int, spec *m
 	return ops
 }
 
-// spawnReplicas is Step 5 for the partition's owner group: one replica
-// child per other owner, carrying the applied ops as its Updates (shared,
-// never copied), with the request counter bumped strictly before each
-// send — into the effect record's IncR when journaled, so a crash keeps
-// or loses the bump together with the effects.
+// spawnReplicas is Step 5 for the partition's owner group
+// (Config.Replicate): one replica child per other owner, carrying the
+// applied ops as its Updates (shared, never copied), with the request
+// counter bumped strictly before each send — into the effect record's
+// IncR when journaled, so a crash keeps or loses the bump together with
+// the effects.
+//
+// Replica children ride the ordinary subtransaction path — R at the
+// sender, C at each owner — so the advancement that closes a version
+// also proves every owner holds all of that version's updates, and a
+// lagging owner shows up in the ordinary R−C counter-lag gauges. The
+// group has no leader: whichever owner executes an update replicates
+// it, commuting ops merge in any order, and any owner serves reads at
+// the read version.
 func (nd *Node) spawnReplicas(txn model.TxnID, v model.Version, part int, ops []model.KeyOp, rec *ExecRecord, send func(transport.Message)) {
 	for _, owner := range nd.pmap.OwnerSet(part) {
 		if owner == nd.id {

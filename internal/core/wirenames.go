@@ -26,5 +26,4 @@ func init() {
 	transport.RegisterPayloadName(SpanReportMsg{}, "span_report")
 	transport.RegisterPayloadName(CoordStateMsg{}, "coord_state")
 	transport.RegisterPayloadName(StaleTermMsg{}, "stale_term")
-	transport.RegisterPayloadName(ReplBeatMsg{}, "repl_beat")
 }

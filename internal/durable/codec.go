@@ -29,16 +29,14 @@ const (
 
 	recCoordTerm = 9 // t uvarint — coordinator term = max(term, t)
 
-	// Replica children journal as ordinary Enq/Exec records; only the
-	// replication lease term has a record of its own. Tags 10 and 12
-	// are retired and never reused.
-	recReplTerm = 11 // t uvarint | part uvarint — replTerm[part] = max(term, t)
+	// Replica children journal as ordinary Enq/Exec records. Tags 10,
+	// 11 and 12 are retired and never reused.
 )
 
 // Checkpoint blob format version: the one generation Checkpoint writes
 // (encodeCheckpointLocked is the layout) and the only one
-// decodeCheckpoint accepts; 1–5 were earlier generations.
-const ckptVersion = 6
+// decodeCheckpoint accepts; 1–6 were earlier generations.
+const ckptVersion = 7
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))

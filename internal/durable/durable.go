@@ -64,8 +64,7 @@ type Options struct {
 	Self  model.NodeID
 	Nodes int
 	// Partitions is the cluster's partition count (core.Config.Partitions);
-	// 0 means 1. Every version, execution and replication record names
-	// its partition, checkpoints carry one version pair and one counter
+	// 0 means 1. Every version and execution record names its partition, checkpoints carry one version pair and one counter
 	// section per partition, and recovery refuses any partition id
 	// outside [0, Partitions).
 	Partitions int
@@ -157,10 +156,6 @@ type DB struct {
 	// whenever NoteRecv advances noted.
 	enqs, noted map[link]uint64
 	recvd       *sync.Cond
-
-	// replTerms[p] is partition p's highest journaled replication lease
-	// term (ReplTerm; monotonic).
-	replTerms []uint64
 
 	node    *core.Node
 	session *reliable.Session
@@ -375,25 +370,6 @@ func (db *DB) versionRec(tag byte, part int, v model.Version) {
 	db.must(db.log.Barrier())
 }
 
-// ReplTerm journals the partition's replication lease term, durable
-// before return: a restarted node must never treat a primary an earlier
-// incarnation already saw deposed as current.
-func (db *DB) ReplTerm(part int, t uint64) {
-	db.mu.Lock()
-	if part < 0 || part >= len(db.replTerms) || t <= db.replTerms[part] {
-		db.mu.Unlock()
-		return
-	}
-	db.replTerms[part] = t
-	db.buf = append(db.buf[:0], recReplTerm)
-	db.buf = binary.AppendUvarint(db.buf, t)
-	db.buf = binary.AppendUvarint(db.buf, uint64(part))
-	_, err := db.log.Append(db.buf)
-	db.mu.Unlock()
-	db.must(err)
-	db.must(db.log.Barrier())
-}
-
 // ---------------------------------------------------------------------
 // reliable.Journal
 // ---------------------------------------------------------------------
@@ -548,11 +524,6 @@ func (db *DB) encodeCheckpointLocked() []byte {
 		vr, vu := db.node.VersionsPart(p)
 		buf = binary.AppendUvarint(buf, uint64(vr))
 		buf = binary.AppendUvarint(buf, uint64(vu))
-	}
-	// Per partition the replication lease term (zero when replication
-	// never ran).
-	for p := 0; p < db.opts.Partitions; p++ {
-		buf = binary.AppendUvarint(buf, db.replTerms[p])
 	}
 
 	// Store, streamed shard by shard (no monolithic copy).

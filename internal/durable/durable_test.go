@@ -410,9 +410,6 @@ func emptyCheckpoint(gen byte, nparts int) []byte {
 	for p := 0; p < nparts; p++ {
 		b = append(b, 1, 2) // vr, vu
 	}
-	for p := 0; p < nparts; p++ {
-		b = append(b, 0) // replication term
-	}
 	b = append(b, 0) // store shards
 	for p := 0; p < nparts; p++ {
 		b = append(b, 0) // counter rows
@@ -428,7 +425,7 @@ func TestDecodeCheckpointRefusesOtherGenerations(t *testing.T) {
 	if _, err := db.decodeCheckpoint(emptyCheckpoint(ckptVersion, 1)); err != nil {
 		t.Fatalf("current generation: %v", err)
 	}
-	for _, ver := range []byte{0, 3, 4, 5, ckptVersion + 1} {
+	for _, ver := range []byte{0, 3, 4, 5, 6, ckptVersion + 1} {
 		_, err := db.decodeCheckpoint(emptyCheckpoint(ver, 1))
 		if want := fmt.Sprintf("unsupported blob version %d", ver); err == nil || err.Error() != want {
 			t.Errorf("blob version %d: err = %v, want %q", ver, err, want)
@@ -457,11 +454,14 @@ func TestReplayRefusesCorruptRecords(t *testing.T) {
 		want    string // "" = recovery must succeed
 	}{
 		{"well-formed", emptyCheckpoint(ckptVersion, nparts),
-			[][]byte{rec(recVU, 3, 1), rec(recVR, 2, 1), rec(recReplTerm, 4, 0)}, ""},
+			[][]byte{rec(recVU, 3, 1), rec(recVR, 2, 1)}, ""},
 		{"out-of-range partition", emptyCheckpoint(ckptVersion, nparts),
 			[][]byte{rec(recVU, 3, nparts)}, "partition 2 outside [0, 2)"},
+		// Replica children journal as execution records: enq id, txn,
+		// from, version, root, read-only, no ops, IncR, outbox or local
+		// children — then the partition.
 		{"out-of-range replicated partition", emptyCheckpoint(ckptVersion, nparts),
-			[][]byte{rec(recReplTerm, 4, nparts)}, "partition 2 outside [0, 2)"},
+			[][]byte{rec(recExec, 1, 7, 0, 3, 0, 0, 0, 0, 0, 0, nparts)}, "partition 2 outside [0, 2)"},
 		{"trailing byte", emptyCheckpoint(ckptVersion, nparts),
 			[][]byte{append(rec(recVU, 3, 1), 0)}, "1 trailing byte(s)"},
 		{"truncated record", emptyCheckpoint(ckptVersion, nparts),
@@ -512,9 +512,9 @@ func TestReplayRefusesCorruptRecords(t *testing.T) {
 				t.Fatalf("recovery failed: %v", err)
 			}
 			defer db.Close()
-			if restore.PartVU[1] != 3 || restore.PartVR[1] != 2 || restore.PartVU[0] != 2 || restore.ReplTerms[0] != 4 {
-				t.Fatalf("replayed state vr=%v vu=%v replTerms=%v, want partition 1 at 2/3 and partition 0's term 4",
-					restore.PartVR, restore.PartVU, restore.ReplTerms)
+			if restore.PartVU[1] != 3 || restore.PartVR[1] != 2 || restore.PartVU[0] != 2 {
+				t.Fatalf("replayed state vr=%v vu=%v, want partition 1 at 2/3 and partition 0 at 1/2",
+					restore.PartVR, restore.PartVU)
 			}
 		})
 	}

@@ -30,15 +30,14 @@ import (
 func Open(opts Options) (*DB, *core.NodeRestore, *reliable.SessionState, error) {
 	opts = opts.withDefaults()
 	db := &DB{
-		opts:      opts,
-		pending:   make(map[uint64]pendingCmd),
-		nextEnq:   1,
-		send:      make(map[link]*sendMirror),
-		recv:      make(map[link]uint64),
-		stop:      make(chan struct{}),
-		replTerms: make([]uint64, opts.Partitions),
-		enqs:      make(map[link]uint64),
-		noted:     make(map[link]uint64),
+		opts:    opts,
+		pending: make(map[uint64]pendingCmd),
+		nextEnq: 1,
+		send:    make(map[link]*sendMirror),
+		recv:    make(map[link]uint64),
+		stop:    make(chan struct{}),
+		enqs:    make(map[link]uint64),
+		noted:   make(map[link]uint64),
 	}
 	db.recvd = sync.NewCond(&db.mu)
 
@@ -74,7 +73,6 @@ type replayState struct {
 	pending   map[uint64]pendingCmd
 	send      map[link]*sendMirror
 	recv      map[link]uint64
-	replTerms []uint64 // per partition (see DB's field)
 	// enqs/noted as in DB: checkpointed commands count as noted (the
 	// checkpoint holds the dispatch gate), WAL ones from their records.
 	enqs, noted map[link]uint64
@@ -154,7 +152,6 @@ func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.
 	db.coordTerm = rs.coordTerm
 	db.send = rs.send
 	db.recv = rs.recv
-	db.replTerms = rs.replTerms
 
 	restore := &core.NodeRestore{
 		Store:        rs.store,
@@ -162,7 +159,6 @@ func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.
 		PartVR:       rs.vrs,
 		PartVU:       rs.vus,
 		PartCounters: rs.cnts,
-		ReplTerms:    rs.replTerms,
 	}
 	ids := make([]uint64, 0, len(rs.pending))
 	for id := range rs.pending {
@@ -237,10 +233,6 @@ func (db *DB) decodeCheckpoint(blob []byte) (*replayState, error) {
 	for p := 0; p < nparts && c.err == nil; p++ {
 		rs.vrs[p] = model.Version(c.uvarint())
 		rs.vus[p] = model.Version(c.uvarint())
-	}
-	rs.replTerms = make([]uint64, nparts)
-	for p := 0; p < nparts && c.err == nil; p++ {
-		rs.replTerms[p] = c.uvarint()
 	}
 
 	var items []storage.ExportedItem
@@ -435,13 +427,6 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 	case recCoordTerm:
 		if t := c.uvarint(); c.err == nil && t > rs.coordTerm {
 			rs.coordTerm = t
-		}
-
-	case recReplTerm:
-		t := c.uvarint()
-		part := rs.part(c)
-		if c.err == nil && t > rs.replTerms[part] {
-			rs.replTerms[part] = t
 		}
 
 	case recSend:

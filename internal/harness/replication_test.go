@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,13 +20,11 @@ import (
 // with two-partition placement over three nodes and replication on,
 // isolate partition 1's placement primary mid-traffic (both directions,
 // node and coordinator endpoints — the in-process stand-in for kill -9)
-// and require that
+// and require that, with no promotion step and no wait,
 //
-//   - the replication lease promotes the next live owner within a
-//     bounded window,
-//   - every acknowledged update stays readable from the promoted
-//     backup while the old primary is gone,
-//   - new updates keep committing through the promoted primary,
+//   - every acknowledged update stays readable at a surviving owner
+//     right after the cut,
+//   - new updates keep committing at that owner,
 //   - after healing, the first advancement that completes leaves every
 //     owner serving the acknowledged balance at its read version, with
 //     no catch-up wait, and the convergence audit (versions agreed,
@@ -43,10 +43,6 @@ func TestReplicatedKillPartitionPrimary(t *testing.T) {
 			LeaseInterval: 10 * time.Millisecond,
 			LeaseTimeout:  40 * time.Millisecond,
 		},
-		ReplicaConfig: core.LeaseConfig{
-			LeaseInterval: 10 * time.Millisecond,
-			LeaseTimeout:  40 * time.Millisecond,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +50,7 @@ func TestReplicatedKillPartitionPrimary(t *testing.T) {
 	keys := partitionKeys(t, c)
 	pm := c.PlacementMap()
 	// Replicated placement: every owner of a partition preloads its
-	// probe key, so a promoted backup serves version-0 reads too.
+	// probe key, so any owner serves version-0 reads too.
 	for p, key := range keys {
 		for _, o := range pm.OwnerSet(p) {
 			rec := model.NewRecord()
@@ -120,12 +116,12 @@ func TestReplicatedKillPartitionPrimary(t *testing.T) {
 		t.Fatalf("pre-kill advancement failed: %v", rep.Err)
 	}
 
-	// The replicated state must already be readable at a backup, not
-	// just the primary — that is the availability the stream buys.
-	backup := owners[1]
-	if got := read(backup, keys[1]); got != want[keys[1]] {
-		t.Fatalf("backup %d serves bal %d for %q, want %d (replication lagging acknowledged updates)",
-			backup, got, keys[1], want[keys[1]])
+	// The replicated state must already be readable at another owner,
+	// not just where it ran — that is the availability the stream buys.
+	survivor := owners[1]
+	if got := read(survivor, keys[1]); got != want[keys[1]] {
+		t.Fatalf("owner %d serves bal %d for %q, want %d (replication lagging acknowledged updates)",
+			survivor, got, keys[1], want[keys[1]])
 	}
 
 	// Kill: cut both of the victim's endpoints (node and its standby
@@ -143,47 +139,22 @@ func TestReplicatedKillPartitionPrimary(t *testing.T) {
 		}
 	}
 
-	// Promotion within a bounded window: the next live owner must take
-	// the lease and routing must follow. The window is one lease
-	// timeout plus the staggers and a heartbeat propagation margin; 2s
-	// is orders of magnitude above it and still fails fast.
-	var promoted model.NodeID
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		promoted = c.CurrentPrimary(1)
-		if promoted != victim {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("partition 1 still routed to dead primary %d after 2s", victim)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	isOwner := false
-	for _, o := range owners {
-		if o == promoted {
-			isOwner = true
-		}
-	}
-	if !isOwner {
-		t.Fatalf("promoted primary %d is not in partition 1's owner set %v", promoted, owners)
+	// Every acknowledged update stays readable at a surviving owner
+	// right after the cut: the advancement above closed their version,
+	// which proved every owner holds them.
+	if got := read(survivor, keys[1]); got != want[keys[1]] {
+		t.Fatalf("surviving owner %d serves bal %d for %q, want %d", survivor, got, keys[1], want[keys[1]])
 	}
 
-	// Every acknowledged update stays readable from the promoted
-	// backup while the placement primary is gone.
-	if got := read(promoted, keys[1]); got != want[keys[1]] {
-		t.Fatalf("promoted primary %d serves bal %d for %q, want %d", promoted, got, keys[1], want[keys[1]])
-	}
-
-	// Writes keep committing through the promoted primary (and stream
-	// to the surviving owners).
+	// Writes keep committing at the surviving owner (and stream to the
+	// other owners, the cut one by retransmission after the heal).
 	for i := 0; i < 5; i++ {
-		submit(promoted, keys[1])
+		submit(survivor, keys[1])
 		want[keys[1]]++
 	}
 
-	// Heal; the deposed primary catches up from the retransmitted
-	// stream and the cluster converges.
+	// Heal; the cut owner catches up from the retransmitted stream and
+	// the cluster converges.
 	fi.Heal()
 	if errs := GateErrors(c, 10*time.Second); len(errs) != 0 {
 		t.Fatalf("gate failed after heal: %v", errs)
@@ -235,8 +206,8 @@ func TestReplicatedKillPartitionPrimary(t *testing.T) {
 		t.Fatalf("partition 0 lost updates: bal %d, want %d", got, want[keys[0]])
 	}
 
-	// Replication counters moved: sends on some primary, applies on
-	// some backup.
+	// Replication counters moved: sends at the owners that ran updates,
+	// applies at the others.
 	snap := c.ObsSnapshot()
 	if snap.Counters["repl_sends"] == 0 || snap.Counters["repl_applies"] == 0 {
 		t.Fatalf("replication counters flat: sends=%d applies=%d",
@@ -261,19 +232,28 @@ func assertOwnersAtVR(t *testing.T, c *core.Cluster, part int, want map[string]i
 }
 
 // TestReplicatedConcurrentWorkersExactlyOnce pins replicated applies to
-// exactly once with the default worker pool: four nodes, four
+// exactly once with the default worker pool, and the property a
+// leaderless owner group rests on: once an advancement closes a
+// version, every owner holds the same image of it. Four nodes, four
 // partitions (every node owns every partition), and thousands of span-2
-// update transactions submitted concurrently, so several workers of one
-// node fan effect sets out to the same backup at once. After two
-// advancements every replica send has been applied, every owner of
-// every partition holds the acknowledged balances at its read version,
-// and the convergence audit is clean.
+// update transactions rooted at every owner in turn, submitted
+// concurrently in batches, so several workers of one node fan effect
+// sets out to the same other owner at once — while the test advances
+// the cluster side by side with the traffic. After each completed
+// Advance every owner of every partition sits at the same read version
+// and serves the same record for every key there; the traffic that
+// overlapped the advancement is then drained and the per-partition
+// audit must be clean. At the end every replica send has been applied,
+// every owner holds the acknowledged balances, and the convergence
+// audit is clean.
 func TestReplicatedConcurrentWorkersExactlyOnce(t *testing.T) {
 	const (
 		nodes, nparts = 4, 4
 		groups        = 64
 		submitters    = 8
-		perSubmitter  = 450 // 3 600 transactions in all
+		perSubmitter  = 450 // at least 3 600 transactions in all
+		batch         = 25  // submitted together, then awaited
+		minAdvances   = 4   // completed while the submitters still run
 	)
 	c, err := core.NewCluster(core.Config{
 		Nodes:          nodes,
@@ -297,9 +277,13 @@ func TestReplicatedConcurrentWorkersExactlyOnce(t *testing.T) {
 	}
 	c.Start()
 	defer c.Close()
+	pm := c.PlacementMap()
 
-	// Each transaction adds its amount at two consecutive nodes, so every
-	// owner must end with twice the acknowledged sum per key.
+	// quiet lets the advancer drain the traffic an advancement overlapped:
+	// submitters hold it shared for one batch, from submit to the last
+	// handle, and the audit holds it exclusively.
+	var quiet sync.RWMutex
+	var advanced atomic.Int32
 	var mu sync.Mutex
 	want := make([]int64, groups)
 	var wg sync.WaitGroup
@@ -309,50 +293,82 @@ func TestReplicatedConcurrentWorkersExactlyOnce(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			hs := make([]*core.Handle, 0, perSubmitter)
-			for i := 0; i < perSubmitter; i++ {
-				g, amount := rng.Intn(groups), int64(rng.Intn(500)+1)
-				root := &model.SubtxnSpec{Node: model.NodeID(rng.Intn(nodes))}
-				for j := 0; j < 2; j++ {
-					root.Children = append(root.Children, &model.SubtxnSpec{
-						Node:    model.NodeID((g + j) % nodes),
-						Updates: []model.KeyOp{{Key: keys[g], Op: model.AddOp{Field: "bal", Delta: amount}}},
-					})
+			for i := 0; i < perSubmitter || advanced.Load() < minAdvances; i += batch {
+				quiet.RLock()
+				hs := make([]*core.Handle, 0, batch)
+				for j := i; j < i+batch; j++ {
+					// Each transaction adds its amount at two consecutive
+					// nodes, rooted at the key's owners in turn, so every
+					// owner must end with twice the acknowledged sum per key.
+					g, amount := rng.Intn(groups), int64(rng.Intn(500)+1)
+					owners := pm.OwnerSet(pm.Of(keys[g]))
+					root := &model.SubtxnSpec{Node: owners[j%len(owners)]}
+					for k := 0; k < 2; k++ {
+						root.Children = append(root.Children, &model.SubtxnSpec{
+							Node:    model.NodeID((g + k) % nodes),
+							Updates: []model.KeyOp{{Key: keys[g], Op: model.AddOp{Field: "bal", Delta: amount}}},
+						})
+					}
+					h, serr := c.Submit(&model.TxnSpec{Root: root})
+					if serr != nil {
+						quiet.RUnlock()
+						errs <- serr
+						return
+					}
+					hs = append(hs, h)
+					mu.Lock()
+					want[g] += 2 * amount
+					mu.Unlock()
 				}
-				h, serr := c.Submit(&model.TxnSpec{Root: root})
-				if serr != nil {
-					errs <- serr
-					return
+				for _, h := range hs {
+					if !h.WaitTimeout(60 * time.Second) {
+						quiet.RUnlock()
+						errs <- errors.New("update timed out")
+						return
+					}
 				}
-				hs = append(hs, h)
-				mu.Lock()
-				want[g] += 2 * amount
-				mu.Unlock()
-			}
-			for _, h := range hs {
-				if !h.WaitTimeout(60 * time.Second) {
-					errs <- errors.New("update timed out")
-					return
-				}
+				quiet.RUnlock()
 			}
 		}(int64(s + 1))
 	}
-	wg.Wait()
+	submitted := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(submitted)
+	}()
+
+	// The advancer: the submitters keep going until minAdvances
+	// advancements have completed beside them. The last advancement
+	// starts after every submitter has finished, so it closes the
+	// version the last transactions ran at.
+	for done := false; !done; {
+		select {
+		case <-submitted:
+			done = true
+		default:
+		}
+		n := advanced.Load() + 1
+		if rep := c.Advance(); rep.Interrupted {
+			t.Fatalf("advancement %d failed: %v", n, rep.Err)
+		}
+		assertOwnersAgree(t, c, keys)
+		quiet.Lock()
+		if v := auditSettled(c, 10*time.Second); len(v) != 0 {
+			quiet.Unlock()
+			t.Fatalf("per-partition audit after advancement %d: %v", n, v)
+		}
+		advanced.Add(1)
+		quiet.Unlock()
+	}
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if rep := c.Advance(); rep.Interrupted {
-			t.Fatalf("advancement %d failed: %v", i, rep.Err)
-		}
 	}
 
 	snap := c.ObsSnapshot()
 	if sends, applies := snap.Counters["repl_sends"], snap.Counters["repl_applies"]; sends == 0 || sends != applies {
 		t.Fatalf("replica sends %d, applies %d: want equal and nonzero", sends, applies)
 	}
-	pm := c.PlacementMap()
 	for p := 0; p < nparts; p++ {
 		part := map[string]int64{}
 		for g, key := range keys {
@@ -364,5 +380,48 @@ func TestReplicatedConcurrentWorkersExactlyOnce(t *testing.T) {
 	}
 	if errs := c.ConvergenceErrors(); len(errs) != 0 {
 		t.Fatalf("convergence audit failed: %v", errs)
+	}
+}
+
+// assertOwnersAgree requires every owner of each key's partition to sit
+// at the same read version and to serve the same record for the key at
+// it: what a completed advancement proves about a replicated version.
+func assertOwnersAgree(t *testing.T, c *core.Cluster, keys []string) {
+	t.Helper()
+	pm := c.PlacementMap()
+	for _, key := range keys {
+		part := pm.Of(key)
+		owners := pm.OwnerSet(part)
+		ref := c.Node(int(owners[0]))
+		vr, _ := ref.VersionsPart(part)
+		want, _, ok := ref.Store().ReadMax(key, vr)
+		if !ok {
+			t.Fatalf("owner %d of partition %d has no %q at vr %d", owners[0], part, key, vr)
+		}
+		for _, o := range owners[1:] {
+			nd := c.Node(int(o))
+			if ovr, _ := nd.VersionsPart(part); ovr != vr {
+				t.Fatalf("partition %d: owner %d at vr %d, owner %d at vr %d", part, owners[0], vr, o, ovr)
+			}
+			got, _, ok := nd.Store().ReadMax(key, vr)
+			if !ok || !reflect.DeepEqual(got.Fields, want.Fields) || !reflect.DeepEqual(got.Log, want.Log) {
+				t.Fatalf("partition %d at vr %d: owner %d holds %q = %v, owner %d holds %v",
+					part, vr, owners[0], key, want, o, got)
+			}
+		}
+	}
+}
+
+// auditSettled returns verify.CheckPartitions' violations once the
+// replica children still in flight have drained (their versions' R and
+// C meet), or whatever remains after settle.
+func auditSettled(c *core.Cluster, settle time.Duration) []string {
+	deadline := time.Now().Add(settle)
+	for {
+		rep := verify.CheckPartitions(c)
+		if rep.OK() || time.Now().After(deadline) {
+			return rep.Violations
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -125,6 +125,14 @@ func runTheorem41Audit(t *testing.T, cfg core.Config, wl workload.Config, txns i
 			Results:     pr.h.Reads(),
 		})
 	}
+	if chaos != nil && chaos.PartitionFor > 0 {
+		// The workload can drain before the scheduled cut: keep advancing
+		// until it has fired, so the advancements run across it.
+		deadline := time.Now().Add(chaos.PartitionAt + 10*time.Second)
+		for cc.Partitions() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	close(stop)
 	<-advDone
 

@@ -27,12 +27,11 @@ type partitionedState struct {
 }
 
 type partStat struct {
-	Part    int    `json:"part"`
-	Primary int    `json:"primary"`
-	VR      int64  `json:"vr"`
-	VU      int64  `json:"vu"`
-	Term    uint64 `json:"term"`
-	MaxLag  int64  `json:"max_lag"`
+	Part   int    `json:"part"`
+	VR     int64  `json:"vr"`
+	VU     int64  `json:"vu"`
+	Term   uint64 `json:"term"`
+	MaxLag int64  `json:"max_lag"`
 }
 
 // TestThreeProcessPartitionedCluster is the partitioned real-networking

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,9 +17,10 @@ import (
 
 // The two-partition placement over three processes used by both gates.
 // partition.NewMap(2, 3) hashes acct0 and acct2 into partition 0
-// (owners [0 1 2], primary 0) and acct1 into partition 1 (owners
-// [1 2 0], primary 1); internal/partition's tests pin the hash, so the
-// constants here are stable.
+// (owners [0 1 2]) and acct1 into partition 1 (owners [1 2 0]);
+// internal/partition's tests pin the hash, so the constants here are
+// stable. Every process owns both partitions, so with -replicate each
+// one runs /workload and serves /read locally.
 const (
 	replNodes = 3
 	replParts = 2
@@ -37,23 +39,11 @@ type replCluster struct {
 	get       func(i int, path string, out any) error
 }
 
-// healthView mirrors the /health fields these gates consume.
-type healthView struct {
-	Replicate  bool `json:"replicate"`
-	Partitions []struct {
-		Part          int    `json:"part"`
-		Role          string `json:"role"`
-		Primary       int    `json:"primary"`
-		Term          uint64 `json:"term"`
-		LastBeatAgeMs int64  `json:"last_beat_age_ms"`
-	} `json:"partitions"`
-}
-
 // startReplCluster builds threev-node (optionally with the race
 // detector) and starts a three-process replicated two-partition
 // cluster. Process durableID runs with -data-dir and the given
 // crashpoint armed; coordinator failover is parked at a five-minute
-// lease so only the replication lease is in play.
+// lease so a killed process never moves the coordinator.
 func startReplCluster(t *testing.T, race bool, durableID int, crashpoint string) *replCluster {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "threev-node")
@@ -94,14 +84,8 @@ func startReplCluster(t *testing.T, race bool, durableID int, crashpoint string)
 			"-metrics", ctrlAddrs[i],
 			"-partitions", fmt.Sprint(replParts),
 			"-replicate",
-			// The replication lease is the subject under test: a tight
-			// heartbeat with a promotion threshold wide enough that a
-			// loaded CI host cannot starve a live primary into a spurious
-			// takeover.
-			"-repl-lease-interval", "50ms",
-			"-repl-lease-timeout", "2s",
-			// Coordinator failover is not: park it so a standby takeover
-			// never fences /advance mid-gate.
+			// Park coordinator failover so a standby takeover never
+			// fences /advance mid-gate.
 			"-lease-timeout", "5m",
 			"-trace-sample", "0",
 		}
@@ -182,25 +166,8 @@ func (rc *replCluster) waitExit137(i int) {
 	}
 }
 
-// primaryOf asks observer's /health who currently holds partition
-// part's replication lease.
-func (rc *replCluster) primaryOf(observer, part int) int {
-	rc.t.Helper()
-	var h healthView
-	if err := rc.get(observer, "/health", &h); err != nil {
-		rc.t.Fatalf("/health at process %d: %v", observer, err)
-	}
-	for _, p := range h.Partitions {
-		if p.Part == part {
-			return p.Primary
-		}
-	}
-	rc.t.Fatalf("/health at process %d has no partition %d: %+v", observer, part, h)
-	return -1
-}
-
 // readOwned reads process i's /read response: the balances of the
-// accounts whose partitions it is current primary for.
+// accounts it serves — with -replicate, every account.
 func (rc *replCluster) readOwned(i int) map[string]int64 {
 	rc.t.Helper()
 	var rd struct {
@@ -248,15 +215,15 @@ func (rc *replCluster) auditClean(i int) {
 }
 
 // quitAll shuts the surviving processes down cleanly and waits for
-// them.
+// them. A process that refuses /quit does not stop the others' shutdown:
+// its error is reported with its exit status, if it has exited, and the
+// tail of its output.
 func (rc *replCluster) quitAll() {
 	rc.t.Helper()
+	quitErr := make([]error, len(rc.procs))
 	for i, p := range rc.procs {
-		if p == nil {
-			continue
-		}
-		if err := rc.get(i, "/quit", nil); err != nil {
-			rc.t.Fatal(err)
+		if p != nil {
+			quitErr[i] = rc.get(i, "/quit", nil)
 		}
 	}
 	for i, p := range rc.procs {
@@ -265,57 +232,77 @@ func (rc *replCluster) quitAll() {
 		}
 		done := make(chan error, 1)
 		go func() { done <- p.Wait() }()
+		wait := 20 * time.Second
+		if quitErr[i] != nil {
+			wait = time.Second // it never took the request; see if it is gone
+		}
+		status := "still running"
+		var exitErr error
 		select {
-		case err := <-done:
-			if err != nil {
-				rc.t.Errorf("process %d exit: %v\n%s", i, err, rc.logOf(i))
-			}
-		case <-time.After(20 * time.Second):
+		case exitErr = <-done:
+			status = p.ProcessState.String()
+		case <-time.After(wait):
+			p.Process.Kill()
+			<-done
+		}
+		switch {
+		case quitErr[i] != nil:
+			rc.t.Errorf("process %d: /quit: %v (%s)\n%s", i, quitErr[i], status, logTail(rc.logOf(i), 40))
+		case status == "still running":
 			rc.t.Errorf("process %d did not exit after /quit", i)
+		case exitErr != nil:
+			rc.t.Errorf("process %d exit: %v\n%s", i, exitErr, logTail(rc.logOf(i), 40))
 		}
 		rc.procs[i] = nil
 	}
 }
 
+// logTail returns the last n lines of a process's output.
+func logTail(out string, n int) string {
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) > n {
+		lines = lines[len(lines)-n:]
+	}
+	return strings.Join(lines, "\n")
+}
+
 // TestReplicaFailoverThreeProcess is the replica-group acceptance gate
 // at process scale: a three-process TCP cluster with two partitions and
-// replication on. Partition 1's placement primary (process 1, durable)
-// settles a batch, then is killed mid-traffic (exit 137, the crashpoint
-// harness's stand-in for kill -9). The replication lease must promote a
-// surviving owner within its bounded window, every acknowledged update
-// must stay readable from the promoted backup while the primary is
-// gone, new updates must keep committing through it, and the restarted
-// primary must recover from its WAL, catch up from the retransmitted
+// replication on. A settled batch is read at every process, then
+// process 1 (durable) is killed mid-traffic (exit 137, the crashpoint
+// harness's stand-in for kill -9). With no promotion step and no wait,
+// every acknowledged update must stay readable at the surviving owners
+// and new updates must keep committing at one of them; the restarted
+// process must recover from its WAL, catch up from the retransmitted
 // stream, and rejoin a cluster whose advancement and convergence audits
-// pass everywhere.
+// pass everywhere, every process serving the same balances.
 func TestReplicaFailoverThreeProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test skipped in -short mode")
 	}
-	// Process 1 is partition 1's placement primary; it dies on its 5th
-	// locally-submitted transaction of the kill batch.
-	const victim, crashAt = 1, 5
+	// Process 1 dies on its 5th locally-submitted transaction of the kill
+	// batch; process 2 survives to serve and take updates.
+	const victim, survivor, crashAt = 1, 2, 5
 	rc := startReplCluster(t, false, victim, fmt.Sprintf("workload-submit:%d", crashAt))
 
 	// Settle a batch from process 0: /workload waits for its handles,
-	// so every one of these updates is acknowledged — and, for
-	// partition 1, streamed to the backups. Then advance so reads see
-	// them.
+	// so every one of these updates is acknowledged — and streamed to
+	// the other owners. Then advance so reads see them.
 	if err := rc.get(0, "/workload?txns=20", nil); err != nil {
 		t.Fatalf("settled workload: %v", err)
 	}
 	rc.advanceRetry()
 
-	// The settled balance of partition 1's account, read from whichever
-	// process currently holds the lease (the placement primary, absent
-	// pathological starvation).
-	prim := rc.primaryOf(0, 1)
-	settled, ok := rc.readOwned(prim)["acct1"]
-	if !ok {
-		t.Fatalf("partition 1 primary %d does not serve acct1", prim)
-	}
+	// The settled balance of partition 1's account, the same at every
+	// owner: the advancement proved each of them holds the batch.
+	settled := rc.readOwned(0)["acct1"]
 	if settled == 0 {
 		t.Fatal("settled batch left acct1 at 0; expected replicated traffic")
+	}
+	for i := 1; i < replNodes; i++ {
+		if got := rc.readOwned(i)["acct1"]; got != settled {
+			t.Fatalf("process %d serves acct1=%d, process 0 serves %d", i, got, settled)
+		}
 	}
 
 	// Kill the victim mid-traffic: its own workload trips the armed
@@ -335,30 +322,20 @@ func TestReplicaFailoverThreeProcess(t *testing.T) {
 		t.Error("workload on the crashed process returned success; expected a severed connection")
 	}
 
-	// Promotion within the lease's bounded window: a surviving owner of
-	// partition 1 takes over and routing follows.
-	var promoted int
-	waitUntil(t, "replica promotion for partition 1", func() bool {
-		promoted = rc.primaryOf(0, 1)
-		return promoted != victim
-	})
-	if promoted != 0 && promoted != 2 {
-		t.Fatalf("promoted primary %d is not a surviving owner of partition 1", promoted)
+	// Availability: every acknowledged (settled) update is readable at
+	// the surviving owners right away. Exact equality is the point — the
+	// kill batch ran above the current read version, so it cannot leak
+	// into this read.
+	for _, i := range []int{0, survivor} {
+		if got := rc.readOwned(i)["acct1"]; got != settled {
+			t.Fatalf("surviving owner %d serves acct1=%d, want the settled %d", i, got, settled)
+		}
 	}
 
-	// Availability: every acknowledged (settled) update is readable
-	// from the promoted backup while the placement primary is dead.
-	// Exact equality is the point — the kill batch ran above the
-	// current read version, so it cannot leak into this read.
-	if got := rc.readOwned(promoted)["acct1"]; got != settled {
-		t.Fatalf("promoted backup %d serves acct1=%d, want the settled %d", promoted, got, settled)
-	}
-
-	// Writes keep committing through the promoted primary: 9 more
-	// transactions, +3 per account, none of which need the dead
-	// process.
-	if err := rc.get(promoted, "/workload?txns=9", nil); err != nil {
-		t.Fatalf("workload through promoted primary %d: %v", promoted, err)
+	// Writes keep committing at a surviving owner: 9 more transactions,
+	// +3 per account, none of which need the dead process.
+	if err := rc.get(survivor, "/workload?txns=9", nil); err != nil {
+		t.Fatalf("workload at surviving owner %d: %v", survivor, err)
 	}
 
 	// Restart the victim from its data directory, crashpoint disarmed:
@@ -379,21 +356,23 @@ func TestReplicaFailoverThreeProcess(t *testing.T) {
 
 	// The kill batch's round-robin put acct1 in submissions 1 and 4 of
 	// the five the crashpoint allowed; a journaled-but-unacknowledged
-	// prefix may legitimately contribute 0..2 extra on recovery.
-	cur := rc.primaryOf(0, 1)
-	got := rc.readOwned(cur)["acct1"]
-	lo, hi := settled+3, settled+3+2
-	if got < lo || got > hi {
-		t.Errorf("acct1=%d at primary %d, want within [%d, %d]", got, cur, lo, hi)
+	// prefix may legitimately contribute 0..2 extra on recovery. Partition
+	// 0 (acct0, acct2) likewise admits the recovered prefix. Every
+	// process, the restarted one included, serves the same balances.
+	owned := rc.readOwned(0)
+	if got, lo, hi := owned["acct1"], settled+3, settled+3+2; got < lo || got > hi {
+		t.Errorf("acct1=%d, want within [%d, %d]", got, lo, hi)
 	}
-	// Partition 0 (acct0, acct2) was undisturbed by the failover; its
-	// window likewise admits the recovered prefix of the kill batch.
-	owned0 := rc.readOwned(rc.primaryOf(0, 0))
-	if got := owned0["acct0"]; got < 10 || got > 12 {
+	if got := owned["acct0"]; got < 10 || got > 12 {
 		t.Errorf("acct0=%d, want within [10, 12]", got)
 	}
-	if got := owned0["acct2"]; got < 9 || got > 10 {
+	if got := owned["acct2"]; got < 9 || got > 10 {
 		t.Errorf("acct2=%d, want within [9, 10]", got)
+	}
+	for i := 1; i < replNodes; i++ {
+		if got := rc.readOwned(i); !reflect.DeepEqual(got, owned) {
+			t.Errorf("process %d serves %v, process 0 serves %v", i, got, owned)
+		}
 	}
 
 	for i := 0; i < replNodes; i++ {
@@ -404,15 +383,15 @@ func TestReplicaFailoverThreeProcess(t *testing.T) {
 
 // TestReplicaBackupKillRecovery is the backup-crash half of the replica
 // story, with the race detector compiled into the node binary: process
-// 2 — a backup owner of partition 1 — journals replica children
-// through its WAL like any subtransaction and is killed (exit 137) on
-// its 4th finished replica child of partition 1 while traffic flows. On
-// restart it must recover its store and pending commands from the WAL
-// and take the rest from the session layer's retransmissions without
-// double-applying: the recovered receive watermarks drop frames whose
-// commands the WAL already holds. The proof is exact — after the old
-// primary is killed and the backup promoted, it serves precisely the
-// acknowledged balance.
+// 2 — an owner of partition 1 that only receives its updates — journals
+// replica children through its WAL like any subtransaction and is
+// killed (exit 137) on its 4th finished replica child of partition 1
+// while traffic flows. On restart it must recover its store and pending
+// commands from the WAL and take the rest from the session layer's
+// retransmissions without double-applying: the recovered receive
+// watermarks drop frames whose commands the WAL already holds. The
+// proof is exact — with another owner killed, it serves precisely the
+// acknowledged balance, and it keeps taking updates.
 func TestReplicaBackupKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test skipped in -short mode")
@@ -420,9 +399,9 @@ func TestReplicaBackupKillRecovery(t *testing.T) {
 	const backup = 2
 	rc := startReplCluster(t, true, backup, "repl-p1-apply:4")
 
-	// Traffic from process 0: the transaction paths touch only
-	// processes 0 and 1 (the two partition primaries), so the workload
-	// settles in full while the backup dies mid-stream behind it.
+	// Traffic from process 0: every transaction runs there, so the
+	// workload settles in full while the backup dies mid-stream behind
+	// it.
 	if err := rc.get(0, "/workload?txns=20", nil); err != nil {
 		t.Fatalf("workload: %v", err)
 	}
@@ -438,12 +417,12 @@ func TestReplicaBackupKillRecovery(t *testing.T) {
 	}
 
 	// Advance so reads see the batch, and record the acknowledged
-	// balance at the current primary. No catch-up wait: replica applies
-	// are counted subtransactions, so a completed advancement is itself
-	// the proof that every owner applied every replica child of the
-	// versions it closed.
+	// balance where it ran. No catch-up wait: replica applies are counted
+	// subtransactions, so a completed advancement is itself the proof
+	// that every owner applied every replica child of the versions it
+	// closed.
 	rc.advanceRetry()
-	want := rc.readOwned(rc.primaryOf(0, 1))["acct1"]
+	want := rc.readOwned(0)["acct1"]
 	if want == 0 {
 		t.Fatal("acct1 settled at 0; expected replicated traffic")
 	}
@@ -451,25 +430,23 @@ func TestReplicaBackupKillRecovery(t *testing.T) {
 		rc.auditClean(i)
 	}
 
-	// Kill the primary outright and let the lease promote a survivor.
-	// Whichever backup wins holds a store built purely from replica
-	// children — for process 2, children recovered from its WAL plus
-	// retransmissions — and must serve exactly the acknowledged balance.
-	// One child lost in the crash window would read low; one
-	// double-applied retransmit would read high.
+	// Kill process 1 outright. The backup's store is built purely from
+	// replica children — recovered from its WAL plus retransmissions —
+	// and must serve exactly the acknowledged balance. One child lost in
+	// the crash window would read low; one double-applied retransmit
+	// would read high.
 	old := rc.procs[1]
 	rc.procs[1] = nil
 	old.Process.Kill()
 	old.Wait()
-	var promoted int
-	waitUntil(t, "replica promotion after primary kill", func() bool {
-		promoted = rc.primaryOf(0, 1)
-		return promoted != 1
-	})
-	if got := rc.readOwned(promoted)["acct1"]; got != want {
-		t.Fatalf("promoted backup %d serves acct1=%d, want exactly %d (lost or double-applied replicated frames)",
-			promoted, got, want)
+	if got := rc.readOwned(backup)["acct1"]; got != want {
+		t.Fatalf("backup %d serves acct1=%d, want exactly %d (lost or double-applied replicated frames)",
+			backup, got, want)
 	}
-	rc.auditClean(promoted)
+	// And it keeps taking updates with an owner gone.
+	if err := rc.get(backup, "/workload?txns=3", nil); err != nil {
+		t.Fatalf("workload at backup %d: %v", backup, err)
+	}
+	rc.auditClean(backup)
 	rc.quitAll()
 }

@@ -22,7 +22,6 @@ const (
 	CtrStaleTermRejects
 	CtrReplSends
 	CtrReplApplies
-	CtrPromotions
 	numCounters
 )
 
@@ -41,7 +40,6 @@ var counterNames = [numCounters]string{
 	"stale_term_rejects",
 	"repl_sends",
 	"repl_applies",
-	"promotions",
 }
 
 // Gauge names set by the protocol layers.

@@ -306,13 +306,11 @@ func TestReplicationMetricsExposition(t *testing.T) {
 	r := New(Options{})
 	r.Inc(CtrReplSends, 7)
 	r.Inc(CtrReplApplies, 5)
-	r.Inc(CtrPromotions, 1)
 
 	snap := r.Snapshot()
 	for name, want := range map[string]int64{
 		"repl_sends":   7,
 		"repl_applies": 5,
-		"promotions":   1,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Fatalf("counter %q = %d, want %d", name, got, want)
@@ -325,10 +323,13 @@ func TestReplicationMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		`threev_events_total{event="repl_sends"} 7`,
 		`threev_events_total{event="repl_applies"} 5`,
-		`threev_events_total{event="promotions"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
 		}
+	}
+	// Owner groups have no leader, so there is no promotion to count.
+	if strings.Contains(out, "promotions") {
+		t.Fatalf("exposition still counts promotions:\n%s", out)
 	}
 }

@@ -104,8 +104,8 @@ const (
 	idBatch            = 21
 	idCounters         = 22
 	idCountersReq      = 23
-	idReplBeat         = 24
-	// 25 carried the retired replication ack; never reuse it.
+	// 24 carried the retired replication lease heartbeat and 25 the
+	// retired replication ack; never reuse them.
 )
 
 // Op kind bytes inside SubtxnSpec updates.
@@ -184,8 +184,6 @@ func TypeName(id uint64) string {
 		return "counters"
 	case idCountersReq:
 		return "counters_req"
-	case idReplBeat:
-		return "repl_beat"
 	}
 	return ""
 }
@@ -218,7 +216,6 @@ func Prototypes() map[uint64]any {
 		idBatch:            transport.BatchMsg{},
 		idCounters:         core.CountersMsg{},
 		idCountersReq:      core.CountersReqMsg{},
-		idReplBeat:         core.ReplBeatMsg{},
 	}
 }
 
@@ -447,10 +444,6 @@ func appendPayload(buf []byte, payload any, at nest) ([]byte, error) {
 		}
 		buf = binary.AppendVarint(buf, int64(p.Part))
 		return buf, nil
-	case core.ReplBeatMsg:
-		buf = binary.AppendUvarint(buf, idReplBeat)
-		buf = binary.AppendVarint(buf, int64(p.Part))
-		return binary.AppendUvarint(buf, p.Term), nil
 	}
 	return buf, fmt.Errorf("%w: %T", ErrUnknownType, payload)
 }
@@ -850,8 +843,6 @@ func (d *decoder) payload(at nest) any {
 		}
 		m.Part = int(d.varint())
 		return m
-	case idReplBeat:
-		return core.ReplBeatMsg{Part: int(d.varint()), Term: d.uvarint()}
 	}
 	d.fail(fmt.Errorf("%w: id %d", ErrUnknownType, id))
 	return nil

@@ -122,7 +122,6 @@ func sampleMessages() []transport.Message {
 				{Key: "acct:0", Op: model.AddOp{Field: "bal", Delta: -7}},
 			}},
 		}},
-		{From: 0, To: 1, Payload: core.ReplBeatMsg{Part: 1, Term: 5}},
 		// Batched messages: one BatchMsg payload whose members keep their
 		// own endpoints and trace contexts.
 		{From: 0, To: 2, Payload: transport.BatchMsg{Msgs: []transport.Message{
