@@ -44,7 +44,9 @@ type Config struct {
 	LocalNodes []int
 	// LocalCoordinator hosts the advancement coordinator (endpoint id
 	// Nodes) in this process. Distributed mode only; ignored when
-	// LocalNodes is nil, where the coordinator is always local.
+	// LocalNodes is nil, where the coordinator is always local. Without
+	// Failover the coordinator runs in node 0's FailoverManager, so
+	// LocalNodes must then include node 0.
 	LocalCoordinator bool
 	// Workers is the per-node worker-pool width for subtransaction
 	// execution; 0 means 4.
@@ -95,11 +97,14 @@ type Config struct {
 	// that were journaled but never durably executed (re-enqueued to the
 	// worker pool on Start). Same restrictions as Journal.
 	Restore *NodeRestore
-	// Failover removes the coordinator single point of failure: every
-	// locally hosted node runs a FailoverManager owning coordinator
-	// endpoint Nodes+id, the active one heartbeats a lease, and a
-	// standby takes over under a higher fencing term when the lease
-	// lapses (see failover.go). The network must then route endpoints
+	// Failover removes the coordinator single point of failure. The
+	// coordinator always runs in a FailoverManager under a positive
+	// fencing term (see failover.go); without Failover there is one,
+	// node 0's, and its lease never ticks. Failover gives every locally
+	// hosted node a manager, owning coordinator endpoint Nodes+id, and
+	// starts the lease: the active manager heartbeats, and a standby
+	// takes over under a higher term when the heartbeats stop. The
+	// network must then route endpoints
 	// 0..2*Nodes-1 (owned networks are sized automatically; an explicit
 	// Transport must span them). In-process clusters start with node
 	// 0's manager active; distributed processes start active only with
@@ -169,12 +174,9 @@ type Cluster struct {
 	nparts int
 	pmap   *partition.Map
 
-	coordMu sync.RWMutex
-	coord   *Coordinator
-
-	// fo holds one failover manager per locally hosted node when
-	// Config.Failover is set; they replace the single pinned
-	// coordinator above.
+	// fo holds the managers that host this process's coordinators: one
+	// per locally hosted node with Config.Failover, else node 0's alone
+	// (none in a process that does not host the coordinator).
 	fo []*FailoverManager
 
 	hookMu    sync.Mutex
@@ -237,6 +239,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			}
 			localSet[id] = true
 		}
+		if cfg.LocalCoordinator && !cfg.Failover && !localSet[0] {
+			return nil, fmt.Errorf("core: without Failover the coordinator runs beside node 0; LocalCoordinator requires LocalNodes to include 0")
+		}
 	}
 	nparts := cfg.Partitions
 	if nparts < 1 {
@@ -254,10 +259,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	// Endpoint space: nodes 0..Nodes-1 plus coordinator endpoints. A
-	// pinned coordinator occupies the single endpoint Nodes; with
-	// failover every node id gets a potential coordinator endpoint at
-	// Nodes+id (node 0's doubles as the legacy id Nodes).
+	// Endpoint space: nodes 0..Nodes-1 plus coordinator endpoints Nodes+id,
+	// one per node that may host a manager: node 0's alone without
+	// failover, every node's with it.
 	endpoints := cfg.Nodes + 1
 	if cfg.Failover {
 		endpoints = 2 * cfg.Nodes
@@ -315,41 +319,20 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.nodes[i] = nd
 		c.net.Register(nd.id, nd.handleMessage)
 	}
-	if cfg.Failover {
-		for i := 0; i < cfg.Nodes; i++ {
-			nd := c.nodes[i]
-			if nd == nil {
-				continue
-			}
-			m := newFailoverManager(c, nd)
-			nd.onCoordState = m.noteBeat
-			c.net.Register(m.ep, m.handleEndpoint)
-			c.fo = append(c.fo, m)
-			if (!c.distributed && i == 0) || (c.distributed && cfg.LocalCoordinator) {
-				m.promoteInitial()
-			}
+	hostsCoord := !c.distributed || cfg.LocalCoordinator
+	for i, nd := range c.nodes {
+		if nd == nil || (!cfg.Failover && (i != 0 || !hostsCoord)) {
+			continue
 		}
-	} else if !c.distributed || cfg.LocalCoordinator {
-		c.coord = c.coordinatorAt(coordID, 0, nil)
-		// The registered handler indirects through currentCoordinator so a
-		// crashed coordinator can be replaced (CrashCoordinator/Recover)
-		// without touching the transport.
-		c.net.Register(coordID, func(m transport.Message) {
-			c.currentCoordinator().handleMessage(m)
-		})
+		m := newFailoverManager(c, nd)
+		nd.onCoordState = m.noteBeat
+		c.net.Register(m.ep, m.handleEndpoint)
+		c.fo = append(c.fo, m)
+		if hostsCoord && (c.distributed || i == 0) {
+			m.promote()
+		}
 	}
 	return c, nil
-}
-
-// coordinatorAt builds every coordinator this process hosts — the
-// pinned one, CrashCoordinator's successors and each failover
-// manager's — at endpoint id under fencing term term (0 = unfenced),
-// configured from the cluster's Config, with the chaos hook the caller
-// chooses to hand it.
-func (c *Cluster) coordinatorAt(id model.NodeID, term uint64, hook func(part, phase int)) *Coordinator {
-	co := newCoordinator(c.cfg.Nodes, c.nparts, c.net, c.cfg.PollInterval, c.cfg.AckTimeout, c.cfg.ResendInterval, c.reg)
-	co.id, co.term, co.batchedCounters, co.phaseHook = id, term, c.cfg.BatchedCounters, hook
-	return co
 }
 
 // Start launches node worker pools and (if owned) the network.
@@ -370,7 +353,7 @@ func (c *Cluster) Start() {
 		}
 	}
 	c.net.Start()
-	if c.fo != nil {
+	if c.cfg.Failover {
 		for _, m := range c.fo {
 			m.lease.start(m.tick)
 		}
@@ -385,15 +368,11 @@ func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if c.fo != nil {
-		// Stop every manager first: this unwinds any in-flight takeover
-		// (its Recover returns ErrClosed) and blocks until its goroutines
-		// exit, so Close can never race an election into a half-run sweep.
-		for _, m := range c.fo {
-			m.stop()
-		}
-	} else if coord := c.currentCoordinator(); coord != nil {
-		coord.shutdown()
+	// Stop every manager first: this unwinds any in-flight takeover (its
+	// Recover returns ErrClosed) and blocks until its goroutines exit, so
+	// Close can never race an election into a half-run sweep.
+	for _, m := range c.fo {
+		m.stop()
 	}
 	if c.ownsNet {
 		c.net.Close()
@@ -499,22 +478,17 @@ func (c *Cluster) PartitionPairs() [][2]model.Version {
 func (c *Cluster) Coordinator() *Coordinator { return c.currentCoordinator() }
 
 func (c *Cluster) currentCoordinator() *Coordinator {
-	if c.fo != nil {
-		if m := c.activeManager(); m != nil {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return m.coord
-		}
-		return nil
+	if m := c.activeManager(); m != nil {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.coord
 	}
-	c.coordMu.RLock()
-	defer c.coordMu.RUnlock()
-	return c.coord
+	return nil
 }
 
 // activeManager returns the local failover manager currently holding
-// the coordinator role, or nil (failover disabled, or this process is
-// all standbys). Two local managers can transiently both be active —
+// the coordinator role, or nil (this process hosts no coordinator, or
+// only standbys). Two local managers can transiently both be active —
 // near-simultaneous takeovers before the lower term's coordinator is
 // fenced and demoted — so the highest term wins routing.
 func (c *Cluster) activeManager() *FailoverManager {
@@ -528,17 +502,14 @@ func (c *Cluster) activeManager() *FailoverManager {
 	return best
 }
 
-// FailoverManagers returns the local managers (tests, chaos harness);
-// nil unless Config.Failover.
+// FailoverManagers returns the local managers (tests, chaos harness):
+// one per local node with Config.Failover, else node 0's alone.
 func (c *Cluster) FailoverManagers() []*FailoverManager { return c.fo }
 
 // CoordinatorStatus reports whether this process currently hosts the
 // active advancement coordinator and the highest fencing term observed
-// here (0 in non-failover clusters, where terms are not in play).
+// here.
 func (c *Cluster) CoordinatorStatus() (active bool, term uint64) {
-	if c.fo == nil {
-		return c.currentCoordinator() != nil, 0
-	}
 	for _, m := range c.fo {
 		a, t := m.snapshot()
 		if a {
@@ -583,19 +554,13 @@ func (c *Cluster) SetPartPhaseHook(h func(part, phase int)) {
 	c.hookMu.Lock()
 	c.phaseHook = h
 	c.hookMu.Unlock()
-	if c.fo != nil {
-		for _, m := range c.fo {
-			m.mu.Lock()
-			co := m.coord
-			m.mu.Unlock()
-			if co != nil {
-				co.setPhaseHook(h)
-			}
+	for _, m := range c.fo {
+		m.mu.Lock()
+		co := m.coord
+		m.mu.Unlock()
+		if co != nil {
+			co.setPhaseHook(h)
 		}
-		return
-	}
-	if co := c.currentCoordinator(); co != nil {
-		co.setPhaseHook(h)
 	}
 }
 
@@ -606,10 +571,11 @@ func (c *Cluster) getPhaseHook() func(part, phase int) {
 }
 
 // KillActiveCoordinator chaos-crashes whichever local manager is
-// currently active (failover mode only): its in-flight sweep unwinds
-// with ErrCrashed and the manager leaves the election permanently, so
-// a standby must take over via lease expiry. Returns the killed term
-// and true, or 0 and false when no local manager was active.
+// currently active: its in-flight sweep unwinds with ErrCrashed and the
+// manager leaves the election permanently, so with Failover a standby
+// must take over via lease expiry (without it, nothing does). Returns
+// the killed term and true, or 0 and false when no local manager was
+// active.
 func (c *Cluster) KillActiveCoordinator() (uint64, bool) {
 	m := c.activeManager()
 	if m == nil {

@@ -346,6 +346,7 @@ func TestNewClusterRejectsIncompatibleConfigs(t *testing.T) {
 		{"LocalNodes without Transport", Config{Nodes: 3, LocalNodes: []int{0}}, "requires an explicit Transport"},
 		{"LocalNodes out of range", Config{Nodes: 3, LocalNodes: []int{7}, Transport: nw}, "id 7 out of range"},
 		{"LocalNodes duplicated", Config{Nodes: 3, LocalNodes: []int{0, 0}, Transport: nw}, "id 0 listed twice"},
+		{"LocalCoordinator without node 0 or Failover", Config{Nodes: 3, LocalNodes: []int{1}, LocalCoordinator: true, Transport: nw}, "LocalCoordinator requires LocalNodes to include 0"},
 	} {
 		c, err := NewCluster(tc.cfg)
 		if err == nil {

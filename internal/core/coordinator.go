@@ -69,10 +69,11 @@ type AdvanceReport struct {
 	Total         time.Duration
 }
 
-// Coordinator drives version advancement. It occupies its own endpoint
-// on the network (id = number of database nodes) and talks to nodes
-// exclusively through messages, so its activity is asynchronous with
-// respect to every user transaction — the paper's central requirement.
+// Coordinator drives version advancement. It occupies its manager's
+// endpoint on the network (Nodes + the manager's node id) and talks to
+// nodes exclusively through messages, so its activity is asynchronous
+// with respect to every user transaction — the paper's central
+// requirement.
 //
 // The paper assumes a distributed mutual-exclusion mechanism guarantees
 // at most one advancement runs at a time; here a process-local mutex
@@ -95,11 +96,9 @@ type Coordinator struct {
 	// back (folded into the same replies map, so snapshot building and
 	// the double-collect detector are unchanged). Set before Start.
 	batchedCounters bool
-	// term is this coordinator's fencing term, stamped on every phase
-	// message it sends. 0 = unfenced (single-coordinator deployments);
-	// failover-managed coordinators get a positive term before their
-	// endpoint handler is registered, and the field is immutable after
-	// that. See FailoverManager.
+	// term is this coordinator's positive fencing term, stamped on every
+	// phase message it sends. Its FailoverManager sets it before the
+	// coordinator is reachable, and the field is immutable after that.
 	term uint64
 
 	mu   sync.Mutex
@@ -170,7 +169,6 @@ func newCoordinator(n, nparts int, net transport.Network, pollInterval, ackTimeo
 		nparts = 1
 	}
 	c := &Coordinator{
-		id:           model.NodeID(n),
 		n:            n,
 		nparts:       nparts,
 		net:          net,

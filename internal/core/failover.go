@@ -9,17 +9,19 @@ import (
 	"repro/internal/transport"
 )
 
-// This file removes the advancement coordinator as a single point of
-// failure. recovery.go showed that a successor can finish any
-// interrupted cycle from the nodes' observable state, because every
-// phase is an idempotent max-merge; what remained was detection and
-// election. The paper (Section 4.3) assumes "a distributed mutual
+// This file hosts the advancement coordinator: every coordinator a
+// cluster runs is built and owned by a FailoverManager under a positive
+// fencing term. Without Config.Failover there is one manager, node 0's,
+// and its lease never ticks. With it, the coordinator is no longer a
+// single point of failure. recovery.go showed that a successor can
+// finish any interrupted cycle from the nodes' observable state, because
+// every phase is an idempotent max-merge; what remained was detection
+// and election. The paper (Section 4.3) assumes "a distributed mutual
 // exclusion mechanism" keeps one advancement running; here that is a
 // heartbeat lease with candidate position = node id:
 //
 //   - every locally hosted node gets a FailoverManager owning
-//     coordinator endpoint Nodes+id (node 0's manager owns the legacy
-//     endpoint id Nodes);
+//     coordinator endpoint Nodes+id (node 0's is endpoint Nodes);
 //   - the active manager broadcasts CoordStateMsg heartbeats, mirroring
 //     its term, (vr, vu) and current phase to all standbys;
 //   - a standby whose lease lapses claims the role, journals the term
@@ -125,7 +127,7 @@ func (m *FailoverManager) takeover() *Coordinator {
 	m.mu.Lock()
 	var co *Coordinator
 	if !m.active && !m.halted {
-		co = m.claimLocked()
+		co = m.claimLocked(m.c.getPhaseHook())
 	}
 	if co == nil {
 		m.mu.Unlock()
@@ -219,32 +221,38 @@ func (m *FailoverManager) snapshot() (active bool, term uint64) {
 	return active, term
 }
 
-// promoteInitial makes this manager the cluster's starting coordinator
-// without an election (NewCluster: node 0 in-process, or the process
-// started with the active role in distributed mode). The minted term
-// sits above any durably recovered one, so a restarted ex-coordinator
-// rejoining as active cannot reuse a fenced term.
-func (m *FailoverManager) promoteInitial() {
+// promote makes this manager active without an election, under a term
+// above any it has seen or its node has journaled, and journals that
+// term: the cluster's starting coordinator (NewCluster: node 0
+// in-process, or the process started with the active role in
+// distributed mode), or CrashCoordinator's successor, which so fences
+// its predecessor. It returns nil once the manager is stopped.
+func (m *FailoverManager) promote() *Coordinator {
 	m.mu.Lock()
-	co := m.claimLocked()
+	co := m.claimLocked(nil)
 	m.mu.Unlock()
-	m.node.observeTermAll(co.term)
-	m.c.reg.SetGauge(obs.GaugeCoordActive, 1)
+	if co != nil {
+		m.node.observeTermAll(co.term)
+		m.c.reg.SetGauge(obs.GaugeCoordActive, 1)
+	}
+	return co
 }
 
 // claimLocked makes this manager active, hosting a fresh coordinator
-// under a term above every term it has seen or its node has journaled.
-// The coordinator inherits the cluster's chaos hook (SetPhaseHook). It
-// returns nil once the manager is stopped. Callers hold m.mu and
-// journal the term before announcing it.
-func (m *FailoverManager) claimLocked() *Coordinator {
+// with chaos hook hook under a term above every term it has seen or
+// its node has journaled. It is the one constructor of the
+// coordinators a cluster hosts. It returns nil once the manager is
+// stopped. Callers hold m.mu and journal the term before announcing it.
+func (m *FailoverManager) claimLocked(hook func(part, phase int)) *Coordinator {
 	term := m.lease.claim(m.node.coordTerm.Load(), time.Now())
 	if term == 0 {
 		return nil
 	}
-	m.coord = m.c.coordinatorAt(m.ep, term, m.c.getPhaseHook())
-	m.active = true
-	return m.coord
+	cfg := &m.c.cfg
+	co := newCoordinator(cfg.Nodes, m.c.nparts, m.c.net, cfg.PollInterval, cfg.AckTimeout, cfg.ResendInterval, m.c.reg)
+	co.id, co.term, co.batchedCounters, co.phaseHook = m.ep, term, cfg.BatchedCounters, hook
+	m.coord, m.active = co, true
+	return co
 }
 
 // LeaseConfig tunes the coordinator lease (Config.FailoverConfig).

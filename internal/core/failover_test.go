@@ -40,9 +40,9 @@ func TestNextTermPartitionsProposers(t *testing.T) {
 }
 
 func TestStaleTermCoordinatorIsFenced(t *testing.T) {
-	// A node that has fenced term 5 must reject a positive lower term
-	// (counting the rejection) and keep accepting term 0 (unfenced
-	// legacy traffic) and the current term.
+	// A node that has fenced term 5 must reject any lower term — term 0
+	// included, which no coordinator carries — and keep accepting the
+	// current term.
 	script := transport.NewScript(3)
 	c, err := NewCluster(Config{Nodes: 2, Transport: script})
 	if err != nil {
@@ -55,11 +55,11 @@ func TestStaleTermCoordinatorIsFenced(t *testing.T) {
 	if !nd.observeTerm(0, 5) {
 		t.Fatal("first observation of term 5 rejected")
 	}
-	if nd.observeTerm(0, 3) {
-		t.Fatal("term 3 accepted after term 5 was fenced")
+	if nd.observeTerm(0, 3) || nd.observeTerm(0, 0) {
+		t.Fatal("term 3 or term 0 accepted after term 5 was fenced")
 	}
-	if !nd.observeTerm(0, 0) || !nd.observeTerm(0, 5) {
-		t.Fatal("term 0 (legacy) and the current term must stay accepted")
+	if !nd.observeTerm(0, 5) {
+		t.Fatal("the current term must stay accepted")
 	}
 
 	// A fenced Phase 1 notice is dropped: no ack, no version change,
@@ -77,6 +77,48 @@ func TestStaleTermCoordinatorIsFenced(t *testing.T) {
 	}
 	if rej := c.ObsSnapshot().Counters["stale_term_rejects"]; rej != 1 {
 		t.Fatalf("stale_term_rejects = %d, want 1", rej)
+	}
+}
+
+// TestCoordinatorTermFencesWithoutFailover: a cluster without Failover
+// still runs its one coordinator under a positive term, and one sweep
+// leaves that term in every node's fencing register on every partition.
+func TestCoordinatorTermFencesWithoutFailover(t *testing.T) {
+	c := newTestCluster(t, Config{Partitions: 2})
+	if rep := c.Advance(); rep.Interrupted {
+		t.Fatal(rep.Err)
+	}
+	term := c.Coordinator().term
+	if term == 0 {
+		t.Fatal("the coordinator runs under term 0")
+	}
+	for i := 0; i < c.NumNodes(); i++ {
+		for p := 0; p < c.Partitions(); p++ {
+			if got := c.Node(i).TermPart(p); got != term {
+				t.Errorf("node %d partition %d fences term %d, want the coordinator's %d", i, p, got, term)
+			}
+		}
+	}
+}
+
+// TestCrashCoordinatorUnderFailover: CrashCoordinator replaces the
+// active manager's coordinator under a higher term in a failover
+// cluster too, and the successor recovers and sweeps.
+func TestCrashCoordinatorUnderFailover(t *testing.T) {
+	c := newTestCluster(t, Config{Failover: true, AckTimeout: 10 * time.Second})
+	if rep := c.Advance(); rep.Interrupted {
+		t.Fatal(rep.Err)
+	}
+	old := c.Coordinator()
+	fresh := c.CrashCoordinator()
+	if fresh == nil || fresh.term <= old.term {
+		t.Fatalf("successor %v does not run above the crashed term %d", fresh, old.term)
+	}
+	if _, err := fresh.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := c.Advance(); rep.Interrupted || rep.NewVR != 2 {
+		t.Fatalf("advancement after the crash: %+v", rep)
 	}
 }
 

@@ -71,8 +71,7 @@ type SubtxnMsg struct {
 
 // StartAdvancementMsg is the Phase 1 notice: switch the update version
 // to NewVU, allocating fresh counters (Section 4.3). Term is the
-// sending coordinator's fencing term (see CoordStateMsg); 0 means
-// unfenced (single-coordinator deployments, scripted replays).
+// sending coordinator's fencing term (see CoordStateMsg).
 type StartAdvancementMsg struct {
 	NewVU model.Version
 	Term  uint64
@@ -88,7 +87,7 @@ type AckAdvancementMsg struct {
 }
 
 // ReadVersionMsg is the Phase 3 notice: queries arriving from now on
-// use NewVR. Term fences stale coordinators (0 = unfenced).
+// use NewVR. Term fences stale coordinators.
 type ReadVersionMsg struct {
 	NewVR model.Version
 	Term  uint64
@@ -104,7 +103,7 @@ type AckReadVersionMsg struct {
 
 // GCMsg is the Phase 4 notice: garbage-collect all data and counter
 // versions below Keep (the new read version). Term fences stale
-// coordinators (0 = unfenced).
+// coordinators.
 type GCMsg struct {
 	Keep model.Version
 	Term uint64
@@ -124,7 +123,7 @@ type AckGCMsg struct {
 // CounterReqMsg asks a node for its counter rows for one version; the
 // coordinator sends these during Phases 2 and 4. Round tags the sweep
 // so late replies from a previous sweep are not mixed into the current
-// snapshot. Term fences stale coordinators (0 = unfenced).
+// snapshot. Term fences stale coordinators.
 type CounterReqMsg struct {
 	Version model.Version
 	Round   int
@@ -227,7 +226,7 @@ type NCDecisionMsg struct {
 // VersionProbeMsg asks a node for its current (vr, vu) pair. A
 // recovering coordinator (see Coordinator.Recover) uses probes to
 // reconstruct where a crashed predecessor left off. Term fences stale
-// coordinators (0 = unfenced).
+// coordinators.
 type VersionProbeMsg struct {
 	Round int
 	Term  uint64

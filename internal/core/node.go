@@ -193,7 +193,7 @@ type Node struct {
 	journal Journal // nil without durability
 
 	// coordTerm is the highest coordinator fencing term this node has
-	// observed on any partition (0 until a fenced coordinator speaks).
+	// observed on any partition (0 until a coordinator speaks).
 	// It feeds the journal and the obs gauge; the fencing decision
 	// itself is per partition (coordTerms below), so a successor
 	// re-driving partition A's sweep fences A immediately while a
@@ -201,14 +201,13 @@ type Node struct {
 	// stragglers until the successor's first message touches B.
 	coordTerm atomic.Uint64
 	// coordTerms are the per-partition fencing registers: phase
-	// messages for partition i carrying a positive term below
-	// coordTerms[i] are rejected. Partition-less control traffic
-	// (heartbeats, stale-term notices) folds into every register.
+	// messages for partition i carrying a term below coordTerms[i] are
+	// rejected. Partition-less control traffic (heartbeats, stale-term
+	// notices) folds into every register.
 	coordTerms []atomic.Uint64
-	// onCoordState, when set (failover mode), receives every accepted
-	// coordinator heartbeat so the co-located FailoverManager can renew
-	// its lease view. Set before the node's handler is registered;
-	// immutable afterwards.
+	// onCoordState, when set (the node hosts a FailoverManager),
+	// receives every accepted coordinator heartbeat so the manager can
+	// renew its lease view. Set before Start; immutable afterwards.
 	onCoordState func(CoordStateMsg)
 
 	// Replica-group state (Config.Replicate). replicate gates the
@@ -563,17 +562,13 @@ func raiseTerm(r *atomic.Uint64, t uint64) (raised, ok bool) {
 }
 
 // observeTerm folds a coordinator fencing term into one partition's
-// register, returning false when t is stale — positive but below a
-// term this partition has already seen — in which case the caller must
-// drop the message. Term 0 is the unfenced single-coordinator mode and
-// is always accepted. A term raising the cross-partition high-water
-// mark is journaled before the node acts on any message carrying it,
-// so a restarted node cannot be tricked into acknowledging an
+// register, returning false when t is stale — below a term this
+// partition has already seen — in which case the caller must drop the
+// message. A term raising the cross-partition high-water mark is
+// journaled before the node acts on any message carrying it, so a
+// restarted node cannot be tricked into acknowledging an
 // already-fenced coordinator.
 func (nd *Node) observeTerm(part int, t uint64) bool {
-	if t == 0 {
-		return true
-	}
 	raised, ok := raiseTerm(&nd.coordTerms[part], t)
 	if raised {
 		nd.noteTermHigh(t)
@@ -585,9 +580,6 @@ func (nd *Node) observeTerm(part int, t uint64) bool {
 // notice) into every partition's register. It reports false when the
 // term is stale on every partition.
 func (nd *Node) observeTermAll(t uint64) bool {
-	if t == 0 {
-		return true
-	}
 	ok := false
 	for part := range nd.coordTerms {
 		if nd.observeTerm(part, t) {

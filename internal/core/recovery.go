@@ -26,8 +26,9 @@ import (
 //
 // Crash simulation: Cluster.CrashCoordinator tears down the current
 // coordinator (any in-flight RunAdvancement returns with Interrupted
-// set) and installs a fresh one, whose Recover method performs the
-// procedure above.
+// set) and has its FailoverManager host a successor under a higher
+// fencing term, whose Recover method performs the procedure above. A
+// failover takeover (failover.go) runs the same Recover.
 
 // RecoveryReport describes a Recover run.
 type RecoveryReport struct {
@@ -140,20 +141,20 @@ func (c *Coordinator) recoverPart(part int) (RecoveryReport, error) {
 
 // CrashCoordinator simulates the advancement coordinator dying: any
 // in-flight cycle is abandoned (its RunAdvancement returns with
-// Interrupted set) and a fresh coordinator takes over the endpoint.
-// Call Recover on the returned coordinator to finish whatever the dead
-// one left behind.
+// Interrupted set) and the dead coordinator's manager hosts a successor
+// under a higher term, which fences the dead one's stragglers. Call
+// Recover on the returned coordinator to finish whatever the dead one
+// left behind. It returns nil when this process hosts no active
+// coordinator or the cluster is closed.
 func (c *Cluster) CrashCoordinator() *Coordinator {
-	if c.fo != nil {
-		panic("core: CrashCoordinator is the pinned-coordinator crash hook; use KillActiveCoordinator with Config.Failover")
+	m := c.activeManager()
+	if m == nil {
+		return nil
 	}
-	old := c.currentCoordinator()
-	old.crash()
+	m.mu.Lock()
+	m.coord.crash()
+	m.mu.Unlock()
 	// No hook for the successor: a hook may crash the coordinator it
 	// runs on, and would crash the successor's Recover in turn.
-	fresh := c.coordinatorAt(model.NodeID(c.cfg.Nodes), 0, nil)
-	c.coordMu.Lock()
-	c.coord = fresh
-	c.coordMu.Unlock()
-	return fresh
+	return m.promote()
 }

@@ -241,6 +241,68 @@ func TestCrashedCoordinatorReportsInterrupted(t *testing.T) {
 	}
 }
 
+// TestCrashedCoordinatorStragglerIsFenced: CrashCoordinator's successor
+// runs under a higher term, so once it has recovered, a phase message
+// still carrying the crashed term is refused with StaleTermMsg and
+// moves no version — and that reply does not depose the successor.
+func TestCrashedCoordinatorStragglerIsFenced(t *testing.T) {
+	script := transport.NewScript(4)
+	c, err := NewCluster(Config{Nodes: 3, Transport: script, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Close()
+	old := c.Coordinator()
+	fresh := c.CrashCoordinator()
+	if fresh.term <= old.term {
+		t.Fatalf("successor term %d not above the crashed term %d", fresh.term, old.term)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := fresh.Recover()
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for recovering := true; recovering; {
+		script.DeliverAll()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			recovering = false
+		default:
+			if time.Now().After(deadline) {
+				t.Fatal("Recover never completed")
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+
+	coordEP := model.NodeID(3)
+	c.Node(1).handleMessage(transport.Message{From: coordEP, To: 1, Payload: StartAdvancementMsg{NewVU: 2, Term: old.term}})
+	if vr, vu := c.Node(1).Versions(); vr != 0 || vu != 1 {
+		t.Fatalf("the crashed coordinator's notice moved node 1 to vr=%d vu=%d", vr, vu)
+	}
+	if script.CountWhere(func(m transport.Message) bool { _, ok := m.Payload.(AckAdvancementMsg); return ok }) != 0 {
+		t.Fatal("the crashed coordinator's notice was acknowledged")
+	}
+	found := script.DeliverWhere(func(m transport.Message) bool {
+		p, ok := m.Payload.(StaleTermMsg)
+		return ok && m.To == coordEP && p.Term == fresh.term
+	})
+	if !found {
+		t.Fatalf("no StaleTermMsg carrying the successor's term went back: %v", script.Pending())
+	}
+	if fresh.isDeposed() {
+		t.Fatal("the straggler's StaleTermMsg deposed the successor")
+	}
+	if rej := c.ObsSnapshot().Counters["stale_term_rejects"]; rej != 1 {
+		t.Fatalf("stale_term_rejects = %d, want 1", rej)
+	}
+}
+
 func TestResumePoint(t *testing.T) {
 	view := func(vr, vu model.Version, below bool) VersionReplyMsg {
 		return VersionReplyMsg{VR: vr, VU: vu, BelowVR: below}

@@ -44,6 +44,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -563,7 +564,7 @@ func (db *DB) encodeCheckpointLocked() []byte {
 	for id := range db.pending {
 		ids = append(ids, id)
 	}
-	sortU64(ids)
+	slices.Sort(ids)
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		p := db.pending[id]
@@ -584,7 +585,7 @@ func (db *DB) encodeCheckpointLocked() []byte {
 		for s := range sm.unacked {
 			seqs = append(seqs, s)
 		}
-		sortU64(seqs)
+		slices.Sort(seqs)
 		buf = binary.AppendUvarint(buf, uint64(len(seqs)))
 		for _, s := range seqs {
 			buf = append(buf, sm.unacked[s]...)
@@ -599,14 +600,6 @@ func (db *DB) encodeCheckpointLocked() []byte {
 		buf = binary.AppendUvarint(buf, next)
 	}
 	return buf
-}
-
-func sortU64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // StartCheckpoints launches the background checkpoint loop.

@@ -361,12 +361,12 @@ func crashRestartRecovers(t *testing.T, chunk int) {
 // no intervening traffic: recovery must be a fixed point.
 func TestRestartIdempotent(t *testing.T) {
 	h := newHub()
-	dir := t.TempDir()
+	dir, dir0 := t.TempDir(), t.TempDir()
 
-	p0 := startProc(t, h, 0, "", 1)
+	p0 := startProc(t, h, 0, dir0, 1)
 	p1 := startProc(t, h, 1, "", 1)
 	p2 := startProc(t, h, 2, dir, 1)
-	defer p0.cluster.Close()
+	defer func() { p0.cluster.Close(); p0.db.Close() }()
 	defer p1.cluster.Close()
 
 	waitAll(t, submitBatch(t, p0, 25))
@@ -388,9 +388,25 @@ func TestRestartIdempotent(t *testing.T) {
 	}
 	defer p2.cluster.Close()
 
+	// Node 0 hosts the coordinator. Each restart must claim a term above
+	// the one its data dir holds, or the other nodes would fence it.
+	for i := 0; i < 2; i++ {
+		_, term := p0.cluster.CoordinatorStatus()
+		h.detach(p0.net)
+		p0.cluster.Close()
+		p0.db.Close()
+		p0 = startProc(t, h, 0, dir0, 1)
+		if _, now := p0.cluster.CoordinatorStatus(); now <= term {
+			t.Fatalf("coordinator restart %d: term %d, not above the journaled %d", i, now, term)
+		}
+		if got := balance(t, p0); got != 25 {
+			t.Fatalf("coordinator restart %d: balance %d, want 25", i, got)
+		}
+	}
+
 	waitAll(t, submitBatch(t, p0, 5))
 	if rep := p0.cluster.Advance(); rep.Err != nil {
-		t.Fatalf("advance after double restart: %v", rep.Err)
+		t.Fatalf("advance after the restarts: %v", rep.Err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for balance(t, p2) != 30 {
@@ -462,6 +478,11 @@ func TestReplayRefusesCorruptRecords(t *testing.T) {
 		// children — then the partition.
 		{"out-of-range replicated partition", emptyCheckpoint(ckptVersion, nparts),
 			[][]byte{rec(recExec, 1, 7, 0, 3, 0, 0, 0, 0, 0, 0, nparts)}, "partition 2 outside [0, 2)"},
+		// Node ids are zigzag varints: 2 encodes node 1, one past Nodes.
+		{"out-of-range sender", emptyCheckpoint(ckptVersion, nparts),
+			[][]byte{rec(recExec, 1, 7, 2, 3, 0, 0, 0, 0, 0, 0, 1)}, "node 1 outside [0, 1)"},
+		{"out-of-range IncR target", emptyCheckpoint(ckptVersion, nparts),
+			[][]byte{rec(recExec, 1, 7, 0, 3, 0, 0, 0, 1, 2, 0, 0, 1)}, "node 1 outside [0, 1)"},
 		{"trailing byte", emptyCheckpoint(ckptVersion, nparts),
 			[][]byte{append(rec(recVU, 3, 1), 0)}, "1 trailing byte(s)"},
 		{"truncated record", emptyCheckpoint(ckptVersion, nparts),

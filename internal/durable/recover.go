@@ -2,7 +2,7 @@ package durable
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -92,6 +92,20 @@ func (rs *replayState) part(c *cur) int {
 	return int(p)
 }
 
+// nodeID reads a record's node id. An id outside [0, Nodes) fails the
+// decode: the counter tables hold one row per node, so replaying it
+// would index past them.
+func (db *DB) nodeID(c *cur) model.NodeID {
+	id := c.varint()
+	if c.err == nil && (id < 0 || id >= int64(db.opts.Nodes)) {
+		c.fail("durable: node %d outside [0, %d)", id, db.opts.Nodes)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return model.NodeID(id)
+}
+
 func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.SessionState, error) {
 	rs, err := db.decodeCheckpoint(blob)
 	if err != nil {
@@ -164,7 +178,7 @@ func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.
 	for id := range rs.pending {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		p := rs.pending[id]
 		restore.Pending = append(restore.Pending, core.PendingSubtxn{EnqID: id, From: p.from, Msg: p.msg})
@@ -177,7 +191,7 @@ func (db *DB) recover(anchor uint64, blob []byte) (*core.NodeRestore, *reliable.
 		for s := range sm.unacked {
 			seqs = append(seqs, s)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		for _, s := range seqs {
 			raw := sm.unacked[s]
 			m, err := wire.DecodeFrame(raw[4:])
@@ -331,7 +345,7 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 	case recExec:
 		enqID := c.uvarint()
 		_ = model.TxnID(c.uvarint())
-		from := model.NodeID(c.varint())
+		from := db.nodeID(c)
 		ver := model.Version(c.uvarint())
 		root := c.byte() == 1
 		readOnly := c.byte() == 1
@@ -345,7 +359,7 @@ func (db *DB) apply(rs *replayState, body []byte) error {
 		}
 		var incR []model.NodeID
 		for i, n := 0, c.count(); i < n && c.err == nil; i++ {
-			incR = append(incR, model.NodeID(c.varint()))
+			incR = append(incR, db.nodeID(c))
 		}
 		type outFrame struct {
 			m   transport.Message
